@@ -9,7 +9,19 @@ Two concrete families are provided, both realizing every pair (q, s):
 Elements are immutable and interned per ring: equal coordinates mean the
 same object.  Coordinates are lowest-degree-first integer coefficients in
 the canonical polynomial basis; integers live in [0, p^s) for ``GR`` and in
-[0, p^r) (residue-field encoding) per u-power for ``EU``.
+[0, p^r) (residue-field encoding) per u-power for ``EU``.  Each element also
+carries a dense ``index``: its position in ``ring.elements()`` (the
+``element_at`` order, the coordinates read as base-``p^s`` or base-``q``
+digits), so the zero element has index 0.
+
+Rings with at most ``TABLE_CAP`` elements do their arithmetic by table
+lookup on element indices: ``+``, ``-``, ``*``, unit inverses, the
+theta-valuation and ``theta_quotient``.  The tables start empty and are
+filled on first use, a row of ``+`` or ``*`` (one left operand against every
+element) or a single entry of the others at a time, through the coordinate
+arithmetic that larger rings use directly.  The row operations of
+elimination (``row_axpy``, ``row_scale``, ``row_dot``,
+``row_valuations``) run over the same tables.
 """
 
 from __future__ import annotations
@@ -25,6 +37,7 @@ from .fields import FqArith
 
 GALOIS_RING = "GR"
 EU_POWER_SERIES = "EU"
+TABLE_CAP = 256  # rings with at most this many elements use lookup tables
 
 
 @dataclass(frozen=True)
@@ -83,20 +96,36 @@ class ChainRingSpec:
         return spec
 
 
+class _LazyTable(dict):
+    """A table whose entry for a key is computed by ``fill(key)`` on first
+    use and kept."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
 class RingElement:
     """An element of a ChainRing in canonical coordinates."""
 
-    __slots__ = ("ring", "coords", "_hash")
+    __slots__ = ("ring", "coords", "index", "_hash")
 
-    def __init__(self, ring: "ChainRing", coords: tuple[int, ...]):
+    def __init__(self, ring: "ChainRing", coords: tuple[int, ...], index: int):
         self.ring = ring
         self.coords = coords
+        self.index = index
         self._hash = hash(coords)
 
     def __eq__(self, other):
         return (
             isinstance(other, RingElement)
-            and self.coords == other.coords
+            and self.index == other.index
             and self.ring is other.ring
         )
 
@@ -119,7 +148,7 @@ class RingElement:
         return self.ring.pow(self, e)
 
     def __bool__(self):
-        return any(self.coords)
+        return self.index != 0
 
     def __repr__(self):
         return f"<{list(self.coords)} in {self.ring.short_name()}>"
@@ -154,6 +183,7 @@ class ChainRing:
             self.lifted_modulus = None
             width = self.s
         self._width = width
+        self._base = self._pm if self.family == GALOIS_RING else self.q
         self._cache: dict[tuple[int, ...], RingElement] = {}
         self.zero = self.make((0,) * width)
         if self.family == GALOIS_RING:
@@ -168,6 +198,36 @@ class ChainRing:
         self.theta = self.make(theta)
         self._teich = None
         self._elements = None
+        self.has_tables = self.size <= TABLE_CAP
+        if self.has_tables:
+            self._build_tables()
+        else:
+            self._add_rows = self._mul_rows = self._neg_tab = None
+            self._inv_tab = self._val_tab = self._quo_tabs = None
+
+    def _build_tables(self):
+        """Empty lookup tables, keyed by element index and filled on first
+        use through the coordinate arithmetic."""
+        elems = self.elements
+
+        def row(op):
+            def fill(i):
+                a = elems()[i]
+                return [op(a, b) for b in elems()]
+
+            return _LazyTable(fill)
+
+        def entry(op, *args):
+            return _LazyTable(lambda i: op(elems()[i], *args))
+
+        self._add_rows = row(self._add_coords)
+        self._mul_rows = row(self._mul_coords)
+        self._neg_tab = entry(self._neg_coords)
+        self._inv_tab = entry(self._inv_coords)
+        self._val_tab = entry(self._valuation_coords)
+        self._quo_tabs = [
+            entry(self._quotient_digits, v) for v in range(self.s + 1)
+        ]
 
     # -- identity ---------------------------------------------------------
 
@@ -198,7 +258,10 @@ class ChainRing:
     def make(self, coords: tuple[int, ...]) -> RingElement:
         elem = self._cache.get(coords)
         if elem is None:
-            elem = RingElement(self, coords)
+            index = 0
+            for c in reversed(coords):
+                index = index * self._base + c
+            elem = RingElement(self, coords, index)
             self._cache[coords] = elem
         return elem
 
@@ -218,7 +281,7 @@ class ChainRing:
         return self.int_mul(k, self.one)
 
     def element_at(self, index: int) -> RingElement:
-        base = self._pm if self.family == GALOIS_RING else self.q
+        base = self._base
         coords = []
         for _ in range(self._width):
             coords.append(index % base)
@@ -236,24 +299,39 @@ class ChainRing:
     # -- arithmetic -------------------------------------------------------
 
     def _add(self, a: RingElement, b: RingElement) -> RingElement:
+        if self._add_rows is not None:
+            return self._add_rows[a.index][b.index]
+        return self._add_coords(a, b)
+
+    def _neg(self, a: RingElement) -> RingElement:
+        if self._neg_tab is not None:
+            return self._neg_tab[a.index]
+        return self._neg_coords(a)
+
+    def _mul(self, a: RingElement, b: RingElement) -> RingElement:
+        if self._mul_rows is not None:
+            return self._mul_rows[a.index][b.index]
+        return self._mul_coords(a, b)
+
+    def _add_coords(self, a: RingElement, b: RingElement) -> RingElement:
         if self.family == GALOIS_RING:
             n = self._pm
             return self.make(
-                tuple((x + y) % n for x, y in zip(a.coords, b.coords))
+                tuple([(x + y) % n for x, y in zip(a.coords, b.coords)])
             )
         fq = self.fq
         return self.make(
-            tuple(fq.add(x, y) for x, y in zip(a.coords, b.coords))
+            tuple([fq.add(x, y) for x, y in zip(a.coords, b.coords)])
         )
 
-    def _neg(self, a: RingElement) -> RingElement:
+    def _neg_coords(self, a: RingElement) -> RingElement:
         if self.family == GALOIS_RING:
             n = self._pm
-            return self.make(tuple((-x) % n for x in a.coords))
+            return self.make(tuple([(-x) % n for x in a.coords]))
         fq = self.fq
-        return self.make(tuple(fq.neg(x) for x in a.coords))
+        return self.make(tuple([fq.neg(x) for x in a.coords]))
 
-    def _mul(self, a: RingElement, b: RingElement) -> RingElement:
+    def _mul_coords(self, a: RingElement, b: RingElement) -> RingElement:
         if self.family == GALOIS_RING:
             prod = _polys.mul(list(a.coords), list(b.coords), self._pm)
             if len(prod) > self.r:
@@ -275,11 +353,11 @@ class ChainRing:
     def int_mul(self, k: int, a: RingElement) -> RingElement:
         if self.family == GALOIS_RING:
             n = self._pm
-            return self.make(tuple((k * x) % n for x in a.coords))
+            return self.make(tuple([(k * x) % n for x in a.coords]))
         fq = self.fq
         kf = k % self.p  # integers act through the prime subfield
         scal = kf  # constant field element
-        return self.make(tuple(fq.mul(scal, x) for x in a.coords))
+        return self.make(tuple([fq.mul(scal, x) for x in a.coords]))
 
     def pow(self, a: RingElement, e: int) -> RingElement:
         if e < 0:
@@ -291,6 +369,42 @@ class ChainRing:
                 out = self._mul(out, base)
             base = self._mul(base, base)
             e >>= 1
+        return out
+
+    # -- row operations ---------------------------------------------------
+
+    def row_axpy(self, u, c: RingElement, v) -> list[RingElement]:
+        """The row u - c*v, entrywise."""
+        if self._add_rows is None:
+            return [a - c * b for a, b in zip(u, v)]
+        add = self._add_rows
+        cv = self._mul_rows[self._neg_tab[c.index].index]  # x -> (-c)*x
+        return [add[a.index][cv[b.index].index] for a, b in zip(u, v)]
+
+    def row_scale(self, c: RingElement, v) -> list[RingElement]:
+        """The row c*v, entrywise."""
+        if self._mul_rows is None:
+            return [c * a for a in v]
+        cv = self._mul_rows[c.index]
+        return [cv[a.index] for a in v]
+
+    def row_valuations(self, v) -> list[int]:
+        """The theta-valuation of each entry (s for a zero entry)."""
+        if self._val_tab is None:
+            return [self.theta_valuation(a) for a in v]
+        val = self._val_tab
+        return [val[a.index] for a in v]
+
+    def row_dot(self, u, v) -> RingElement:
+        """The sum of the entrywise products of u and v."""
+        out = self.zero
+        if self._add_rows is None:
+            for a, b in zip(u, v):
+                out = out + a * b
+            return out
+        add, mul = self._add_rows, self._mul_rows
+        for a, b in zip(u, v):
+            out = add[out.index][mul[a.index][b.index].index]
         return out
 
     # -- residue field ----------------------------------------------------
@@ -343,6 +457,11 @@ class ChainRing:
 
     def theta_valuation(self, a: RingElement) -> int:
         """Largest t <= s with a in R theta^t (s for the zero element)."""
+        if self._val_tab is not None:
+            return self._val_tab[a.index]
+        return self._valuation_coords(a)
+
+    def _valuation_coords(self, a: RingElement) -> int:
         if self.family == EU_POWER_SERIES:
             for i, c in enumerate(a.coords):
                 if c:
@@ -368,7 +487,7 @@ class ChainRing:
             raise SpecError("element is not divisible by theta^t")
         if self.family == GALOIS_RING:
             d = self.p**t
-            return self.make(tuple(c // d for c in a.coords))
+            return self.make(tuple([c // d for c in a.coords]))
         return self.make(a.coords[t:] + (0,) * t)
 
     def teichmuller(self, a: RingElement) -> RingElement:
@@ -408,12 +527,30 @@ class ChainRing:
             out = out + self._mul(d, self.theta_pow(t))
         return out
 
+    def theta_quotient(self, b: RingElement, v: int) -> RingElement:
+        """The element whose theta-adic digits are those of b shifted down
+        by v places, with zeros on top: b = r + theta^v * quotient, where r
+        has its digits below place v.  This is the elimination coefficient
+        that reduces b modulo theta^v."""
+        if self._quo_tabs is not None:
+            return self._quo_tabs[v][b.index]
+        return self._quotient_digits(b, v)
+
+    def _quotient_digits(self, b: RingElement, v: int) -> RingElement:
+        digits = self.theta_adic_expansion(b)
+        return self.recompose(digits[v:] + (self.zero,) * v)
+
     # -- units ------------------------------------------------------------
 
     def is_unit(self, a: RingElement) -> bool:
         return self.residue(a) != 0
 
     def inv(self, a: RingElement) -> RingElement:
+        if self._inv_tab is not None:
+            return self._inv_tab[a.index]
+        return self._inv_coords(a)
+
+    def _inv_coords(self, a: RingElement) -> RingElement:
         if not self.is_unit(a):
             raise ZeroDivisionError("element is not a unit")
         b = self.lift(self.fq.inv(self.residue(a)))
@@ -445,10 +582,12 @@ def _ring_for_key(key) -> ChainRing:
 
 
 def make_ring(spec: ChainRingSpec | dict | str) -> ChainRing:
-    """Construct (or fetch the cached copy of) the ring for a spec."""
+    """Construct (or fetch the cached copy of) the ring for a spec.
+
+    A JSON spec is validated when parsed and any spec when its ring is
+    first built; a cached ring is returned without checking again."""
     if not isinstance(spec, ChainRingSpec):
         spec = ChainRingSpec.from_json(spec)
-    spec.validate()
     return _ring_for_key((spec.family, spec.p, spec.r, spec.s, spec.modulus))
 
 

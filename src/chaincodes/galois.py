@@ -229,22 +229,13 @@ class GaloisExtension:
             ]
             self._gram_inv = _invert_unit_matrix(self.base, gram)
         rhs = [self.trace(self.top._mul(a, self.xi_pow(j))) for j in range(self.m)]
-        return tuple(
-            _dot(self.base, row, rhs) for row in self._gram_inv
-        )
+        return tuple([self.base.row_dot(row, rhs) for row in self._gram_inv])
 
 
 def _int_poly_eval(ring: ChainRing, poly, x: RingElement) -> RingElement:
     out = ring.zero
     for c in reversed(poly):
         out = ring._mul(out, x) + ring.from_int(c)
-    return out
-
-
-def _dot(ring, row, vec):
-    out = ring.zero
-    for a, b in zip(row, vec):
-        out = out + ring._mul(a, b)
     return out
 
 
@@ -264,16 +255,16 @@ def _invert_unit_matrix(ring: ChainRing, mat):
         a[col], a[piv] = a[piv], a[col]
         inv[col], inv[piv] = inv[piv], inv[col]
         scale = ring.inv(a[col][col])
-        a[col] = [ring._mul(scale, x) for x in a[col]]
-        inv[col] = [ring._mul(scale, x) for x in inv[col]]
+        a[col] = ring.row_scale(scale, a[col])
+        inv[col] = ring.row_scale(scale, inv[col])
         for r in range(n):
             if r == col:
                 continue
             f = a[r][col]
             if not f:
                 continue
-            a[r] = [x - ring._mul(f, y) for x, y in zip(a[r], a[col])]
-            inv[r] = [x - ring._mul(f, y) for x, y in zip(inv[r], inv[col])]
+            a[r] = ring.row_axpy(a[r], f, a[col])
+            inv[r] = ring.row_axpy(inv[r], f, inv[col])
     return inv
 
 

@@ -19,23 +19,19 @@ DEFAULT_CODEWORD_BUDGET = 1 << 24
 
 
 def vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple([a + b for a, b in zip(u, v)])
 
 
 def vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple([a - b for a, b in zip(u, v)])
 
 
 def vscale(c, v):
-    return tuple(c * a for a in v)
+    return tuple(c.ring.row_scale(c, v))
 
 
 def vdot(u, v):
-    ring = u[0].ring
-    out = ring.zero
-    for a, b in zip(u, v):
-        out = out + a * b
-    return out
+    return u[0].ring.row_dot(u, v)
 
 
 def weight(v) -> int:
@@ -79,49 +75,37 @@ class LinearCode:
         pivots: list[tuple[int, int]] = []  # (column, theta-valuation)
         done = 0
         while True:
+            # The least (valuation, column, row) over the nonzero entries:
+            # per row, its least valuation at its first column; zero
+            # entries have valuation s.
             best = None  # (val, col, row)
             for j in range(done, len(rows)):
-                for c, a in enumerate(rows[j]):
-                    if not a:
-                        continue
-                    v = ring.theta_valuation(a)
-                    if best is None or (v, c, j) < best:
-                        best = (v, c, j)
-                if best is not None and best[0] == 0 and best[1] <= min(
-                    (c for c, _ in pivots), default=self.length
-                ):
-                    pass  # cheap early exit is not worth extra bookkeeping
+                vals = ring.row_valuations(rows[j])
+                v = min(vals)
+                if v < s:
+                    cand = (v, vals.index(v), j)
+                    if best is None or cand < best:
+                        best = cand
             if best is None:
                 break
             val, col, j = best
             rows[done], rows[j] = rows[j], rows[done]
-            row = rows[done]
-            unit = ring.theta_shift_down(row[col], val)
-            scale = ring.inv(unit)
-            rows[done] = row = [scale * a for a in row]
+            scale = ring.inv(ring.theta_shift_down(rows[done][col], val))
+            rows[done] = row = ring.row_scale(scale, rows[done])
             for k, other in enumerate(rows):
-                if k == done:
-                    continue
                 b = other[col]
-                if not b:
+                if k == done or not b:
                     continue
-                digits = ring.theta_adic_expansion(b)
-                if k > done:
-                    if ring.theta_valuation(b) < val:
-                        raise AssertionError("valuation-greedy pivot violated")
-                    coeff = ring.recompose(
-                        (ring.zero,) * 0 + digits[val:] + (ring.zero,) * val
-                    )
-                else:
-                    # Reduce entries above the pivot modulo theta^val.
-                    coeff = ring.recompose(
-                        digits[val:] + (ring.zero,) * val
-                    )
+                # Rows below lose the pivot column; rows above keep its
+                # residue modulo theta^val.
+                if k > done and ring.theta_valuation(b) < val:
+                    raise AssertionError("valuation-greedy pivot violated")
+                coeff = ring.theta_quotient(b, val)
                 if coeff:
-                    rows[k] = [a - coeff * b2 for a, b2 in zip(other, row)]
+                    rows[k] = ring.row_axpy(other, coeff, row)
             pivots.append((col, val))
             done += 1
-        self.sf_rows = tuple(tuple(r) for r in rows[:done])
+        self.sf_rows = tuple([tuple(r) for r in rows[:done]])
         self.pivots = tuple(pivots)
         kt = [0] * s
         for _, v in pivots:
@@ -148,10 +132,9 @@ class LinearCode:
                 continue
             if ring.theta_valuation(a) < val:
                 return False
-            digits = ring.theta_adic_expansion(a)
-            coeff = ring.recompose(digits[val:] + (ring.zero,) * val)
+            coeff = ring.theta_quotient(a, val)
             if coeff:
-                v = [x - coeff * y for x, y in zip(v, row)]
+                v = ring.row_axpy(v, coeff, row)
         return not any(v)
 
     def _coeff_choices(self, val: int):
@@ -203,56 +186,62 @@ class LinearCode:
     # -- duality -----------------------------------------------------------
 
     def dual(self) -> "LinearCode":
-        """The annihilator code, via diagonalization G = P D Q."""
+        """The annihilator code, via diagonalization G = P D Q.
+
+        Step i moves a least-valuation entry theta^t * unit to (i, i),
+        clears column i below it by row operations, and clears row i by
+        column operations.  Those only change row i of the matrix, which no
+        later step reads, so they are applied to Q alone, held as its
+        columns ``qcols``.
+        """
         ring = self.ring
         n = self.length
         mat = [list(r) for r in self.sf_rows]
         k = len(mat)
-        qmat = [
-            [ring.one if i == j else ring.zero for j in range(n)]
-            for i in range(n)
-        ]  # accumulated column operations
+        qcols = [
+            [ring.one if i == j else ring.zero for i in range(n)]
+            for j in range(n)
+        ]
         diag: list[int] = []
         i = 0
         while i < k:
-            best = None
+            best = None  # (val, row, col), least over the nonzero entries
             for rr in range(i, k):
-                for cc in range(i, n):
-                    a = mat[rr][cc]
-                    if not a:
-                        continue
-                    v = ring.theta_valuation(a)
-                    if best is None or (v, rr, cc) < best:
-                        best = (v, rr, cc)
+                vals = ring.row_valuations(mat[rr][i:])
+                v = min(vals)
+                if v < ring.s and (best is None or v < best[0]):
+                    best = (v, rr, i + vals.index(v))
             if best is None:
                 break
             val, rr, cc = best
             mat[i], mat[rr] = mat[rr], mat[i]
-            _swap_cols(mat, qmat, i, cc)
+            if cc != i:
+                for row in mat:
+                    row[i], row[cc] = row[cc], row[i]
+                qcols[i], qcols[cc] = qcols[cc], qcols[i]
             scale = ring.inv(ring.theta_shift_down(mat[i][i], val))
-            mat[i] = [scale * a for a in mat[i]]
-            for r2 in range(k):
-                if r2 == i or not mat[r2][i]:
-                    continue
-                coeff = ring.theta_shift_down(mat[r2][i], val)
-                mat[r2] = [a - coeff * b for a, b in zip(mat[r2], mat[i])]
-            for c2 in range(n):
-                if c2 == i or not mat[i][c2]:
-                    continue
-                coeff = ring.theta_shift_down(mat[i][c2], val)
-                _add_col(mat, qmat, c2, i, -coeff)
+            mat[i] = row = ring.row_scale(scale, mat[i])
+            for r2 in range(i + 1, k):
+                b = mat[r2][i]
+                if b:
+                    coeff = ring.theta_shift_down(b, val)
+                    mat[r2] = ring.row_axpy(mat[r2], coeff, row)
+            for c2 in range(i + 1, n):
+                b = row[c2]
+                if b:
+                    coeff = ring.theta_shift_down(b, val)
+                    qcols[c2] = ring.row_axpy(qcols[c2], coeff, qcols[i])
             diag.append(val)
             i += 1
         gens = []
-        for j in range(n):
-            col = tuple(qmat[rr][j] for rr in range(n))
+        for j, col in enumerate(qcols):
             if j < len(diag):
                 t = diag[j]
                 if t == 0:
                     continue
                 gens.append(vscale(ring.theta_pow(ring.s - t), col))
             else:
-                gens.append(col)
+                gens.append(tuple(col))
         return LinearCode(ring, n, gens)
 
     # -- comparisons and algebra ------------------------------------------
@@ -299,22 +288,6 @@ def full_code(ring: ChainRing, n: int) -> LinearCode:
         row[i] = ring.one
         rows.append(row)
     return LinearCode(ring, n, rows)
-
-
-def _swap_cols(mat, qmat, i, j):
-    if i == j:
-        return
-    for row in mat:
-        row[i], row[j] = row[j], row[i]
-    for row in qmat:
-        row[i], row[j] = row[j], row[i]
-
-
-def _add_col(mat, qmat, dst, src, coeff):
-    for row in mat:
-        row[dst] = row[dst] + coeff * row[src]
-    for row in qmat:
-        row[dst] = row[dst] + coeff * row[src]
 
 
 def _check_compatible(c1: LinearCode, c2: LinearCode):
@@ -393,7 +366,7 @@ def trace_code(ext, code: LinearCode) -> LinearCode:
     for g in code.sf_rows:
         for k in range(ext.m):
             xk = ext.xi_pow(k)
-            rows.append(tuple(ext.trace(xk * a) for a in g))
+            rows.append(tuple([ext.trace(xk * a) for a in g]))
     return LinearCode(ext.base, code.length, rows)
 
 
@@ -433,5 +406,5 @@ def res_subring_code(ext, code: LinearCode) -> LinearCode:
                     raise AssertionError(
                         "intersection left the coordinate sublattice"
                     )
-        rows.append(tuple(g[i * m] for i in range(n)))
+        rows.append(tuple([g[i * m] for i in range(n)]))
     return LinearCode(base, n, rows)

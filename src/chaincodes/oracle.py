@@ -1,8 +1,11 @@
 """Brute-force reference implementations, for cross-checking the fast paths.
 
 Everything here works by exhaustive enumeration over vectors or codewords
-and never calls the structural algorithms it is meant to check.  Budgets
-bound the enumeration sizes; exceeding one raises BudgetExceeded.
+and never calls the structural algorithms it is meant to check.  It also
+computes with each ring's coordinate arithmetic rather than the lookup
+tables that small rings use elsewhere, so that agreement with the
+structural results checks the tables too.  Budgets bound the enumeration
+sizes; exceeding one raises BudgetExceeded.
 """
 
 from __future__ import annotations
@@ -11,8 +14,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .chainring import ChainRing
-from .errors import BudgetExceeded
-from .modcodes import LinearCode, constashift, vdot, weight
+from .errors import BudgetExceeded, SpecError
+from .modcodes import LinearCode, weight
 
 MAX_VECTORS = 10**7
 MAX_CODEWORDS = 10**6
@@ -34,6 +37,21 @@ class Budget:
             raise BudgetExceeded(
                 f"{count} codewords exceed the budget of {self.max_codewords}"
             )
+
+
+def _coord_add(a, b):
+    return a.ring._add_coords(a, b)
+
+
+def _coord_mul(a, b):
+    return a.ring._mul_coords(a, b)
+
+
+def _coord_dot(u, v):
+    out = u[0].ring.zero
+    for a, b in zip(u, v):
+        out = _coord_add(out, _coord_mul(a, b))
+    return out
 
 
 class _PairMemo:
@@ -75,12 +93,14 @@ def brute_span(ring: ChainRing, rows, budget: Budget = Budget(), _add=None):
     """The set of all R-linear combinations of the rows."""
     if not rows:
         return frozenset()
-    add = _add or _PairMemo(lambda a, b: a + b)
+    add = _add or _PairMemo(_coord_add)
     words = {(ring.zero,) * len(rows[0])}
     for g in rows:
         if g in words:
             continue  # words is already a module containing g
-        scaled = [tuple(c * a for a in g) for c in ring.elements()]
+        scaled = [
+            tuple([_coord_mul(c, a) for a in g]) for c in ring.elements()
+        ]
         fresh = set()
         for cg in scaled:
             for w in words:
@@ -103,7 +123,7 @@ def brute_dual(code: LinearCode, budget: Budget = Budget()):
     gens = code.generators or ((code.ring.zero,) * code.length,)
     out = set()
     for v in all_vectors(code.ring, code.length, budget):
-        if all(not vdot(v, g) for g in gens):
+        if all(not _coord_dot(v, g) for g in gens):
             out.add(v)
     return frozenset(out)
 
@@ -114,8 +134,12 @@ def brute_min_weight(code: LinearCode, budget: Budget = Budget()) -> int:
 
 
 def brute_is_constacyclic(code: LinearCode, gamma, budget: Budget = Budget()):
+    if not gamma.ring.is_unit(gamma):
+        raise SpecError("constashift requires a unit multiplier")
     words = brute_codewords(code, budget)
-    return all(constashift(w, gamma) in words for w in words)
+    return all(
+        (_coord_mul(gamma, w[-1]),) + w[:-1] in words for w in words
+    )
 
 
 def _module_sum(a, b, add):
@@ -137,8 +161,8 @@ def brute_cyclic_submodule_words(
     """Every shift-invariant submodule of R^n, as a sorted list of codeword
     sets: spans of single shift-orbits, closed under pairwise sums."""
     budget.check_vectors(ring.size**n)
-    add = _PairMemo(lambda a, b: a + b)
-    mul = _PairMemo(lambda c, a: c * a)
+    add = _PairMemo(_coord_add)
+    mul = _PairMemo(_coord_mul)
     units = [c for c in ring.elements() if ring.is_unit(c)]
     zero = (ring.zero,) * n
     found: set[frozenset] = {frozenset({zero})}

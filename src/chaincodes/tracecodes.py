@@ -66,7 +66,7 @@ def _trace_rows(ctx: EvalContext, rep: int):
     rows = []
     for k in range(ext.m):
         rows.append(
-            tuple(ext.trace_xi_pow(k + w * rep * j) for j in range(ell))
+            tuple([ext.trace_xi_pow(k + w * rep * j) for j in range(ell)])
         )
     return rows
 

@@ -138,3 +138,19 @@ def test_multiplicative_order():
     assert R.multiplicative_order(R.element([2])) == 6
     with pytest.raises(ValueError):
         R.multiplicative_order(R.element([3]))
+
+
+def test_spec_is_validated_once(monkeypatch):
+    spec = ChainRingSpec.from_json({"family": "EU", "p": 2, "r": 2, "s": 2})
+    ring = make_ring(spec)
+    calls = []
+    monkeypatch.setattr(ChainRingSpec, "validate", lambda spec: calls.append(spec))
+    assert make_ring(spec) is ring  # a cache hit checks nothing again
+    assert calls == []
+    assert make_ring(spec.to_json()) is ring  # JSON input: from_json checks
+    assert calls == [spec]
+
+
+def test_unvalidated_spec_is_checked_on_first_build():
+    with pytest.raises(SpecError):
+        make_ring(ChainRingSpec("GR", 3, 2, 2, (2, 0, 1)))

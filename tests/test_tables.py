@@ -1,0 +1,198 @@
+"""Table-backed arithmetic and elimination agree with the coordinate
+arithmetic and with theta-adic-digit elimination."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chaincodes import LinearCode, eu_ring, galois_ring
+from chaincodes.chainring import TABLE_CAP
+
+SMALL_RINGS = [
+    (make, p, r, s)
+    for make in (galois_ring, eu_ring)
+    for p in (2, 3, 5)
+    for r in (1, 2)
+    for s in (1, 2, 3)
+    if p ** (r * s) <= TABLE_CAP
+]
+
+
+@st.composite
+def small_rings(draw):
+    make, p, r, s = draw(st.sampled_from(SMALL_RINGS))
+    return make(p, r, s)
+
+
+@st.composite
+def elements(draw, ring):
+    a = ring.element_at(draw(st.integers(0, ring.size - 1)))
+    return a * ring.theta_pow(draw(st.integers(0, ring.s)))
+
+
+@st.composite
+def generator_matrices(draw):
+    ring = draw(small_rings())
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(0, 4))
+    rows = [[draw(elements(ring)) for _ in range(n)] for _ in range(k)]
+    return ring, n, rows
+
+
+def digit_reduce(ring, generators):
+    """Standard form by valuation-greedy elimination whose coefficients
+    come from theta-adic digits, as (sf_rows, pivots, type)."""
+    rows = [list(r) for r in generators if any(r)]
+    pivots = []
+    done = 0
+    while True:
+        cells = [
+            (ring.theta_valuation(a), c, j)
+            for j in range(done, len(rows))
+            for c, a in enumerate(rows[j])
+            if a
+        ]
+        if not cells:
+            break
+        val, col, j = min(cells)
+        rows[done], rows[j] = rows[j], rows[done]
+        scale = ring.inv(ring.theta_shift_down(rows[done][col], val))
+        rows[done] = row = [scale * a for a in rows[done]]
+        for k, other in enumerate(rows):
+            b = other[col]
+            if k == done or not b:
+                continue
+            digits = ring.theta_adic_expansion(b)
+            coeff = ring.recompose(digits[val:] + (ring.zero,) * val)
+            if coeff:
+                rows[k] = [a - coeff * b2 for a, b2 in zip(other, row)]
+        pivots.append((col, val))
+        done += 1
+    kt = [0] * ring.s
+    for _, v in pivots:
+        kt[v] += 1
+    return tuple(tuple(r) for r in rows[:done]), tuple(pivots), tuple(kt)
+
+
+def coordinate_dual_rows(code):
+    """Generators of the dual by diagonalization with explicit column
+    operations on both the matrix and the accumulated Q."""
+    ring, n = code.ring, code.length
+    mat = [list(r) for r in code.sf_rows]
+    k = len(mat)
+    qmat = [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
+
+    def add_col(dst, src, coeff):
+        for row in mat + qmat:
+            row[dst] = row[dst] + coeff * row[src]
+
+    diag = []
+    for i in range(k):
+        cells = [
+            (ring.theta_valuation(mat[rr][cc]), rr, cc)
+            for rr in range(i, k)
+            for cc in range(i, n)
+            if mat[rr][cc]
+        ]
+        if not cells:
+            break
+        val, rr, cc = min(cells)
+        mat[i], mat[rr] = mat[rr], mat[i]
+        for row in mat + qmat:
+            row[i], row[cc] = row[cc], row[i]
+        scale = ring.inv(ring.theta_shift_down(mat[i][i], val))
+        mat[i] = [scale * a for a in mat[i]]
+        for r2 in range(k):
+            if r2 != i and mat[r2][i]:
+                coeff = ring.theta_shift_down(mat[r2][i], val)
+                mat[r2] = [a - coeff * b for a, b in zip(mat[r2], mat[i])]
+        for c2 in range(n):
+            if c2 != i and mat[i][c2]:
+                add_col(c2, i, -ring.theta_shift_down(mat[i][c2], val))
+        diag.append(val)
+    gens = []
+    for j in range(n):
+        col = tuple(qmat[rr][j] for rr in range(n))
+        if j < len(diag):
+            if diag[j]:
+                top = ring.theta_pow(ring.s - diag[j])
+                gens.append(tuple(top * a for a in col))
+        else:
+            gens.append(col)
+    return gens
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_tables_agree_with_coordinates(data):
+    ring = data.draw(small_rings())
+    assert ring.has_tables
+    a = data.draw(elements(ring))
+    b = data.draw(elements(ring))
+    assert a + b is ring._add_coords(a, b)
+    assert -a is ring._neg_coords(a)
+    assert a - b is ring._add_coords(a, ring._neg_coords(b))
+    assert a * b is ring._mul_coords(a, b)
+    assert ring.theta_valuation(a) == ring._valuation_coords(a)
+    if ring.is_unit(a):
+        assert ring.inv(a) is ring._inv_coords(a)
+    digits = ring.theta_adic_expansion(b)
+    for v in range(ring.s + 1):
+        expected = ring.recompose(digits[v:] + (ring.zero,) * v)
+        assert ring.theta_quotient(b, v) is expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_row_operations_agree_with_element_operations(data):
+    ring = data.draw(small_rings())
+    n = data.draw(st.integers(1, 5))
+    u = [data.draw(elements(ring)) for _ in range(n)]
+    v = [data.draw(elements(ring)) for _ in range(n)]
+    c = data.draw(elements(ring))
+    assert ring.row_axpy(u, c, v) == [a - c * b for a, b in zip(u, v)]
+    assert ring.row_scale(c, v) == [c * b for b in v]
+    dot = ring.zero
+    for a, b in zip(u, v):
+        dot = dot + a * b
+    assert ring.row_dot(u, v) is dot
+
+
+@settings(max_examples=100, deadline=None)
+@given(generator_matrices())
+def test_standard_form_matches_digit_elimination(case):
+    ring, n, rows = case
+    code = LinearCode(ring, n, rows)
+    assert (code.sf_rows, code.pivots, code.type) == digit_reduce(ring, rows)
+    assert list(code.dual().generators) == coordinate_dual_rows(code)
+    for g in rows:
+        assert tuple(g) in code
+
+
+def test_index_is_element_order():
+    ring = galois_ring(2, 2, 2)
+    assert [a.index for a in ring.elements()] == list(range(ring.size))
+    assert ring.zero.index == 0
+
+
+def test_ring_above_cap_builds_no_tables():
+    small = galois_ring(2, 1, 8)
+    assert small.size == TABLE_CAP and small.has_tables
+    for ring in (galois_ring(2, 1, 9), galois_ring(3, 2, 3), eu_ring(3, 2, 3)):
+        assert ring.size > TABLE_CAP and not ring.has_tables
+        a, b = ring.element_at(ring.size - 2), ring.element_at(5)
+        assert a * b - b is ring._add_coords(
+            ring._mul_coords(a, b), ring._neg_coords(b)
+        )
+        code = LinearCode(ring, 2, [[a, b], [b, a]])
+        assert (code.sf_rows, code.pivots, code.type) == digit_reduce(
+            ring, code.generators
+        )
+        tables = (
+            ring._add_rows,
+            ring._mul_rows,
+            ring._neg_tab,
+            ring._inv_tab,
+            ring._val_tab,
+            ring._quo_tabs,
+        )
+        assert tables == (None,) * 6
