@@ -20,6 +20,7 @@ from .chainring import (
     ring_spec,
 )
 from .errors import SpecError
+from .modcodes import LinearCode
 
 
 class GaloisExtension:
@@ -240,32 +241,18 @@ def _int_poly_eval(ring: ChainRing, poly, x: RingElement) -> RingElement:
 
 
 def _invert_unit_matrix(ring: ChainRing, mat):
-    """Invert a matrix over R that is invertible (unit determinant)."""
-    n = len(mat)
-    a = [list(row) for row in mat]
-    inv = [
-        [ring.one if i == j else ring.zero for j in range(n)] for i in range(n)
+    """Invert a matrix over R with unit determinant: the standard form of
+    (A | I) is (I | A^-1), with a unit pivot in each of the first m
+    columns exactly when A is invertible."""
+    m = len(mat)
+    rows = [
+        list(row) + [ring.one if i == j else ring.zero for j in range(m)]
+        for i, row in enumerate(mat)
     ]
-    for col in range(n):
-        piv = next(
-            (r for r in range(col, n) if ring.is_unit(a[r][col])), None
-        )
-        if piv is None:
-            raise SpecError("matrix is not invertible over the chain ring")
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        scale = ring.inv(a[col][col])
-        a[col] = ring.row_scale(scale, a[col])
-        inv[col] = ring.row_scale(scale, inv[col])
-        for r in range(n):
-            if r == col:
-                continue
-            f = a[r][col]
-            if not f:
-                continue
-            a[r] = ring.row_axpy(a[r], f, a[col])
-            inv[r] = ring.row_axpy(inv[r], f, inv[col])
-    return inv
+    code = LinearCode(ring, 2 * m, rows)
+    if code.pivots != tuple([(i, 0) for i in range(m)]):
+        raise SpecError("matrix is not invertible over the chain ring")
+    return [row[m:] for row in code.sf_rows]
 
 
 @lru_cache(maxsize=None)

@@ -3,6 +3,14 @@
 A code caches its standard-form matrix at construction: rows with pivots
 theta^t placed by valuation-greedy elimination, giving the type
 (k_0, ..., k_{s-1}), the rank, and the cardinality q^(sum (s-t) k_t).
+
+The standard form keeps one invariant that the rest of the module reads:
+row i is theta^t_i at its pivot column c_i, zero at the pivot columns of
+the rows before it, a residue modulo theta^t_j at the pivot column of
+each row j after it, and divisible by theta^t_i in every entry, where
+t_0 <= t_1 <= ....  Membership reduces a vector by these rows alone, and
+the dual is read off them by column operations alone, with no second
+elimination.
 """
 
 from __future__ import annotations
@@ -186,62 +194,41 @@ class LinearCode:
     # -- duality -----------------------------------------------------------
 
     def dual(self) -> "LinearCode":
-        """The annihilator code, via diagonalization G = P D Q.
+        """The annihilator code, read off the standard form: G Q = D.
 
-        Step i moves a least-valuation entry theta^t * unit to (i, i),
-        clears column i below it by row operations, and clears row i by
-        column operations.  Those only change row i of the matrix, which no
-        later step reads, so they are applied to Q alone, held as its
-        columns ``qcols``.
+        Row i of the standard form is theta^t_i at its pivot column c_i and
+        zero at every earlier pivot column, and each of its other entries
+        is divisible by theta^t_i: t_i was the least valuation left when
+        the row was chosen, and the later pivot rows it was reduced by have
+        valuation >= t_i.  So subtracting theta_shift_down(g_i[j], t_i)
+        times column c_i from each column j != c_i clears row i but for its
+        pivot, and changes no other row, because column c_i is theta^t_i at
+        row i and zero at every other: the rows before i are cleared
+        already, and the rows after it are zero there.  No row operation
+        is needed, and the column operations are applied to Q alone, held
+        as its columns ``qcols``.  Then Q y is in the dual exactly when
+        theta^t_i y_(c_i) = 0 for every i, so the dual is spanned by
+        theta^(s - t_i) q_(c_i) and the columns q_j of the non-pivot j.
         """
         ring = self.ring
-        n = self.length
-        mat = [list(r) for r in self.sf_rows]
-        k = len(mat)
+        n, s = self.length, ring.s
         qcols = [
             [ring.one if i == j else ring.zero for i in range(n)]
             for j in range(n)
         ]
-        diag: list[int] = []
-        i = 0
-        while i < k:
-            best = None  # (val, row, col), least over the nonzero entries
-            for rr in range(i, k):
-                vals = ring.row_valuations(mat[rr][i:])
-                v = min(vals)
-                if v < ring.s and (best is None or v < best[0]):
-                    best = (v, rr, i + vals.index(v))
-            if best is None:
-                break
-            val, rr, cc = best
-            mat[i], mat[rr] = mat[rr], mat[i]
-            if cc != i:
-                for row in mat:
-                    row[i], row[cc] = row[cc], row[i]
-                qcols[i], qcols[cc] = qcols[cc], qcols[i]
-            scale = ring.inv(ring.theta_shift_down(mat[i][i], val))
-            mat[i] = row = ring.row_scale(scale, mat[i])
-            for r2 in range(i + 1, k):
-                b = mat[r2][i]
-                if b:
+        for row, (col, val) in zip(self.sf_rows, self.pivots):
+            for j, b in enumerate(row):
+                if b and j != col:
                     coeff = ring.theta_shift_down(b, val)
-                    mat[r2] = ring.row_axpy(mat[r2], coeff, row)
-            for c2 in range(i + 1, n):
-                b = row[c2]
-                if b:
-                    coeff = ring.theta_shift_down(b, val)
-                    qcols[c2] = ring.row_axpy(qcols[c2], coeff, qcols[i])
-            diag.append(val)
-            i += 1
+                    qcols[j] = ring.row_axpy(qcols[j], coeff, qcols[col])
+        levels = dict(self.pivots)
         gens = []
         for j, col in enumerate(qcols):
-            if j < len(diag):
-                t = diag[j]
-                if t == 0:
-                    continue
-                gens.append(vscale(ring.theta_pow(ring.s - t), col))
-            else:
-                gens.append(tuple(col))
+            t = levels.get(j, s)
+            if t == s:
+                gens.append(col)
+            elif t:
+                gens.append(ring.row_scale(ring.theta_pow(s - t), col))
         return LinearCode(ring, n, gens)
 
     # -- comparisons and algebra ------------------------------------------

@@ -154,3 +154,19 @@ def test_spec_is_validated_once(monkeypatch):
 def test_unvalidated_spec_is_checked_on_first_build():
     with pytest.raises(SpecError):
         make_ring(ChainRingSpec("GR", 3, 2, 2, (2, 0, 1)))
+
+
+def test_first_build_checks_irreducibility_twice(monkeypatch):
+    # Once when the JSON spec is parsed, once when its ring is first built.
+    from chaincodes import _polys
+
+    calls = []
+    check = _polys.is_irreducible_fp
+
+    def counted(h, p):
+        calls.append(h)
+        return check(h, p)
+
+    monkeypatch.setattr(_polys, "is_irreducible_fp", counted)
+    make_ring('{"family":"EU","p":7,"r":2,"s":3,"modulus":[3,1,1]}')
+    assert len(calls) == 2

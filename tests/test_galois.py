@@ -1,5 +1,7 @@
 """Tests for Galois extensions: embedding, Frobenius, trace, xi."""
 
+import random
+
 import pytest
 
 from chaincodes import (
@@ -9,6 +11,7 @@ from chaincodes import (
     galois_ring,
     xi_multiplicative_order,
 )
+from chaincodes.galois import _invert_unit_matrix
 
 
 def test_extend_z9_shape():
@@ -128,3 +131,53 @@ def test_bigger_extension_trace_into_subring():
     assert ext.trace(ext.top.one) == ext.base.from_int(6)
     t = ext.trace(ext.xi)
     assert t.ring is ext.base
+
+
+def _identity(ring, m):
+    return [[ring.one if i == j else ring.zero for j in range(m)] for i in range(m)]
+
+
+def _random_unit_matrix(ring, m, rng):
+    """L * U with unit diagonals, rows permuted: invertible by construction."""
+    units = [a for a in ring.elements() if ring.is_unit(a)]
+    lower, upper = _identity(ring, m), _identity(ring, m)
+    for i in range(m):
+        upper[i][i] = rng.choice(units)
+        for j in range(i):
+            lower[i][j] = ring.element_at(rng.randrange(ring.size))
+            upper[j][i] = ring.element_at(rng.randrange(ring.size))
+    mat = _matmul(ring, lower, upper)
+    rng.shuffle(mat)
+    return mat
+
+
+def _matmul(ring, a, b):
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(len(b[0])):
+            acc = ring.zero
+            for x, brow in zip(row, b):
+                acc = acc + x * brow[j]
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+@pytest.mark.parametrize(
+    "ring", [galois_ring(3, 1, 2), galois_ring(2, 2, 2), eu_ring(3, 1, 2)]
+)
+def test_invert_unit_matrix(ring):
+    rng = random.Random(f"invert:{ring.spec}")
+    for m in (1, 2, 3, 4):
+        eye = _identity(ring, m)
+        for _ in range(10):
+            mat = _random_unit_matrix(ring, m, rng)
+            inv = _invert_unit_matrix(ring, mat)
+            assert _matmul(ring, mat, inv) == eye
+            assert _matmul(ring, inv, mat) == eye
+            bad = [list(row) for row in mat]
+            i = rng.randrange(m)
+            bad[i] = [ring.theta * a for a in bad[i]]
+            with pytest.raises(SpecError):
+                _invert_unit_matrix(ring, bad)

@@ -121,6 +121,22 @@ def coordinate_dual_rows(code):
     return gens
 
 
+def check_dual(code):
+    """The dual has the standard form of the explicit column-operation
+    dual, is annihilated by the code, and has the dual's size."""
+    ring, n = code.ring, code.length
+    dual = code.dual()
+    assert dual.key() == LinearCode(ring, n, coordinate_dual_rows(code)).key()
+    assert dual.dual() == code
+    assert code.cardinality * dual.cardinality == ring.size**n
+    for h in dual.generators:
+        for g in code.sf_rows:
+            dot = ring.zero
+            for a, b in zip(g, h):
+                dot = dot + a * b
+            assert not dot
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_tables_agree_with_coordinates(data):
@@ -163,7 +179,7 @@ def test_standard_form_matches_digit_elimination(case):
     ring, n, rows = case
     code = LinearCode(ring, n, rows)
     assert (code.sf_rows, code.pivots, code.type) == digit_reduce(ring, rows)
-    assert list(code.dual().generators) == coordinate_dual_rows(code)
+    check_dual(code)
     for g in rows:
         assert tuple(g) in code
 
@@ -187,6 +203,7 @@ def test_ring_above_cap_builds_no_tables():
         assert (code.sf_rows, code.pivots, code.type) == digit_reduce(
             ring, code.generators
         )
+        check_dual(code)
         tables = (
             ring._add_rows,
             ring._mul_rows,
