@@ -1,10 +1,13 @@
 """Dense polynomial arithmetic over Z/n, plus F_p utilities.
 
 Polynomials are lists of integer coefficients, lowest degree first.
-All functions return trimmed lists (no trailing zeros).
+All functions but ``smallest_irreducible`` return trimmed lists (no
+trailing zeros).
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .errors import SpecError
 
@@ -118,15 +121,18 @@ def _poly_from_index(idx, degree, p):
     return coeffs
 
 
-def smallest_irreducible(p: int, r: int) -> list[int]:
+@lru_cache(maxsize=128)
+def smallest_irreducible(p: int, r: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree r over F_p,
-    coefficients compared lowest degree first.  Degree 1 yields x itself."""
+    coefficients compared lowest degree first.  Degree 1 yields x itself.
+    The search runs once per (p, r); the result is a tuple, as it is
+    shared."""
     if r == 1:
-        return [0, 1]
+        return (0, 1)
     for idx_tuple in _lex_tuples(p, r):
         cand = list(idx_tuple) + [1]
         if is_irreducible_fp(cand, p):
-            return cand
+            return tuple(cand)
     raise SpecError(f"no irreducible polynomial of degree {r} over F_{p}")
 
 

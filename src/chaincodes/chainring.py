@@ -16,12 +16,18 @@ digits), so the zero element has index 0.
 
 Rings with at most ``TABLE_CAP`` elements do their arithmetic by table
 lookup on element indices: ``+``, ``-``, ``*``, unit inverses, the
-theta-valuation and ``theta_quotient``.  The tables start empty and are
-filled on first use, a row of ``+`` or ``*`` (one left operand against every
-element) or a single entry of the others at a time, through the coordinate
-arithmetic that larger rings use directly.  The row operations of
-elimination (``row_axpy``, ``row_scale``, ``row_dot``,
-``row_valuations``) run over the same tables.
+theta-valuation and ``theta_quotient``.  The tables hold indices, not
+elements, start empty and are filled on first use, a row of ``+`` or ``*``
+(one left operand against every element) or a single entry of the others at
+a time, through the coordinate arithmetic that larger rings use directly;
+element arithmetic maps an index back through ``elements()``.
+
+Elimination runs on encoded rows through one kernel: ``encode_row`` gives
+a list of element indices in a ring with tables and a list of elements
+above the cap, and the row operations (``row_axpy``, ``row_scale``,
+``row_dots``, ``row_valuations``) and the entry operations
+(``entry_valuation``, ``entry_quotient``, ``entry_divide``, ``entry_inv``)
+take and return that encoding.  Zero encodes as a false value either way.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _polys
-from ._ints import is_prime
+from ._ints import PRIME_TEST_BOUND, is_prime
 from .errors import SpecError
 from .fields import FqArith
 
@@ -53,6 +59,8 @@ class ChainRingSpec:
     def validate(self) -> None:
         if self.family not in (GALOIS_RING, EU_POWER_SERIES):
             raise SpecError(f"unknown ring family {self.family!r}")
+        if self.p >= PRIME_TEST_BOUND:
+            raise SpecError(f"p = {self.p} is too large to certify as prime")
         if not is_prime(self.p):
             raise SpecError(f"p = {self.p} is not prime")
         if self.r < 1:
@@ -90,7 +98,7 @@ class ChainRingSpec:
         if "modulus" in doc:
             modulus = tuple(int(c) for c in doc["modulus"])
         else:
-            modulus = tuple(_polys.smallest_irreducible(p, r))
+            modulus = _polys.smallest_irreducible(p, r)
         spec = ChainRingSpec(family, p, r, s, modulus)
         spec.validate()
         return spec
@@ -206,25 +214,21 @@ class ChainRing:
             self._inv_tab = self._val_tab = self._quo_tabs = None
 
     def _build_tables(self):
-        """Empty lookup tables, keyed by element index and filled on first
-        use through the coordinate arithmetic."""
-        elems = self.elements
+        """Empty lookup tables of element indices, keyed by element index
+        and filled on first use through the coordinate arithmetic."""
+        elems = self.elements()
 
         def row(op):
-            def fill(i):
-                a = elems()[i]
-                return [op(a, b) for b in elems()]
-
-            return _LazyTable(fill)
+            return _LazyTable(lambda i: [op(elems[i], b).index for b in elems])
 
         def entry(op, *args):
-            return _LazyTable(lambda i: op(elems()[i], *args))
+            return _LazyTable(lambda i: op(elems[i], *args).index)
 
         self._add_rows = row(self._add_coords)
         self._mul_rows = row(self._mul_coords)
         self._neg_tab = entry(self._neg_coords)
         self._inv_tab = entry(self._inv_coords)
-        self._val_tab = entry(self._valuation_coords)
+        self._val_tab = _LazyTable(lambda i: self._valuation_coords(elems[i]))
         self._quo_tabs = [
             entry(self._quotient_digits, v) for v in range(self.s + 1)
         ]
@@ -300,17 +304,17 @@ class ChainRing:
 
     def _add(self, a: RingElement, b: RingElement) -> RingElement:
         if self._add_rows is not None:
-            return self._add_rows[a.index][b.index]
+            return self._elements[self._add_rows[a.index][b.index]]
         return self._add_coords(a, b)
 
     def _neg(self, a: RingElement) -> RingElement:
         if self._neg_tab is not None:
-            return self._neg_tab[a.index]
+            return self._elements[self._neg_tab[a.index]]
         return self._neg_coords(a)
 
     def _mul(self, a: RingElement, b: RingElement) -> RingElement:
         if self._mul_rows is not None:
-            return self._mul_rows[a.index][b.index]
+            return self._elements[self._mul_rows[a.index][b.index]]
         return self._mul_coords(a, b)
 
     def _add_coords(self, a: RingElement, b: RingElement) -> RingElement:
@@ -371,41 +375,95 @@ class ChainRing:
             e >>= 1
         return out
 
-    # -- row operations ---------------------------------------------------
+    # -- elimination kernel on encoded rows ---------------------------------
 
-    def row_axpy(self, u, c: RingElement, v) -> list[RingElement]:
+    def encode(self, a: RingElement):
+        """The kernel's encoding of an element: its index with tables, the
+        element itself above the cap."""
+        return a.index if self.has_tables else a
+
+    def decode(self, x) -> RingElement:
+        return self._elements[x] if self.has_tables else x
+
+    def encode_row(self, v) -> list:
+        if self.has_tables:
+            return [a.index for a in v]
+        return list(v)
+
+    def decode_row(self, v) -> tuple[RingElement, ...]:
+        if self.has_tables:
+            elems = self._elements
+            return tuple([elems[x] for x in v])
+        return tuple(v)
+
+    def row_axpy(self, u, c, v) -> list:
         """The row u - c*v, entrywise."""
         if self._add_rows is None:
             return [a - c * b for a, b in zip(u, v)]
         add = self._add_rows
-        cv = self._mul_rows[self._neg_tab[c.index].index]  # x -> (-c)*x
-        return [add[a.index][cv[b.index].index] for a, b in zip(u, v)]
+        cv = self._mul_rows[self._neg_tab[c]]  # x -> (-c)*x
+        return [add[a][cv[b]] for a, b in zip(u, v)]
 
-    def row_scale(self, c: RingElement, v) -> list[RingElement]:
+    def row_scale(self, c, v) -> list:
         """The row c*v, entrywise."""
         if self._mul_rows is None:
             return [c * a for a in v]
-        cv = self._mul_rows[c.index]
-        return [cv[a.index] for a in v]
+        cv = self._mul_rows[c]
+        return [cv[a] for a in v]
 
     def row_valuations(self, v) -> list[int]:
         """The theta-valuation of each entry (s for a zero entry)."""
         if self._val_tab is None:
             return [self.theta_valuation(a) for a in v]
         val = self._val_tab
-        return [val[a.index] for a in v]
+        return [val[a] for a in v]
 
-    def row_dot(self, u, v) -> RingElement:
-        """The sum of the entrywise products of u and v."""
-        out = self.zero
+    def row_dots(self, u, vs) -> list:
+        """The sums of the entrywise products of u with each row of vs."""
         if self._add_rows is None:
-            for a, b in zip(u, v):
-                out = out + a * b
+            out = []
+            for v in vs:
+                acc = self.zero
+                for a, b in zip(u, v):
+                    acc = acc + a * b
+                out.append(acc)
             return out
         add, mul = self._add_rows, self._mul_rows
-        for a, b in zip(u, v):
-            out = add[out.index][mul[a.index][b.index].index]
+        terms = [(j, mul[a]) for j, a in enumerate(u) if a]
+        out = []
+        for v in vs:
+            acc = 0
+            for j, ua in terms:
+                acc = add[acc][ua[v[j]]]
+            out.append(acc)
         return out
+
+    def entry_valuation(self, x) -> int:
+        if self._val_tab is None:
+            return self.theta_valuation(x)
+        return self._val_tab[x]
+
+    def entry_quotient(self, x, v: int):
+        """theta_quotient on an encoded entry."""
+        if self._quo_tabs is None:
+            return self.theta_quotient(x, v)
+        return self._quo_tabs[v][x]
+
+    def entry_divide(self, x, v: int):
+        """Some c with theta^v * c = x; raises SpecError unless theta^v
+        divides x.  With tables c is ``theta_quotient(x, v)``, above the
+        cap ``theta_shift_down(x, v)``; the two differ by a multiple of
+        theta^(s-v) and agree on everything theta^v multiplies."""
+        if self._quo_tabs is None:
+            return self.theta_shift_down(x, v)
+        if self._val_tab[x] < v:
+            raise SpecError("element is not divisible by theta^t")
+        return self._quo_tabs[v][x]
+
+    def entry_inv(self, x):
+        if self._inv_tab is None:
+            return self.inv(x)
+        return self._inv_tab[x]
 
     # -- residue field ----------------------------------------------------
 
@@ -480,7 +538,9 @@ class ChainRing:
 
     def theta_shift_down(self, a: RingElement, t: int = 1) -> RingElement:
         """The canonical preimage under multiplication by theta^t: requires
-        valuation >= t; the result's top t theta-digits are zero."""
+        valuation >= t.  For GR each coordinate is divided by p^t, for EU
+        the u-coordinates shift down with zeros on top; the GR result can
+        have nonzero top theta-digits (6/3 = 2 = 8 + 3*1 in Z9)."""
         if t == 0:
             return a
         if self.theta_valuation(a) < t:
@@ -533,7 +593,7 @@ class ChainRing:
         has its digits below place v.  This is the elimination coefficient
         that reduces b modulo theta^v."""
         if self._quo_tabs is not None:
-            return self._quo_tabs[v][b.index]
+            return self._elements[self._quo_tabs[v][b.index]]
         return self._quotient_digits(b, v)
 
     def _quotient_digits(self, b: RingElement, v: int) -> RingElement:
@@ -547,7 +607,7 @@ class ChainRing:
 
     def inv(self, a: RingElement) -> RingElement:
         if self._inv_tab is not None:
-            return self._inv_tab[a.index]
+            return self._elements[self._inv_tab[a.index]]
         return self._inv_coords(a)
 
     def _inv_coords(self, a: RingElement) -> RingElement:

@@ -249,6 +249,10 @@ def cmd_concat(args) -> int:
 def cmd_enumerate_cyclic(args) -> int:
     ring = _ring_from_args(args)
     total, free = count_cyclic_codes(ring, args.ell)
+    if total > args.budget:
+        raise BudgetExceeded(
+            f"{total} cyclic codes of length {args.ell} exceed budget {args.budget}"
+        )
     items = []
     for partition, code in enumerate_cyclic_codes(ring, args.ell):
         items.append(
@@ -374,6 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("enumerate-cyclic", cmd_enumerate_cyclic, help="all cyclic codes")
     p.add_argument("--ring", required=True, help="ring spec JSON")
     p.add_argument("--ell", type=int, required=True)
+    p.add_argument("--budget", type=int, default=oracle.MAX_CODEWORDS)
 
     p = add("verify", cmd_verify, help="oracle cross-check suite")
     p.add_argument("--suite", default="all", choices=["all"])

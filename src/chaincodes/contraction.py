@@ -17,8 +17,8 @@ from math import gcd
 from .chainring import RingElement
 from .cosets import CyclotomicPartition
 from .errors import SingletonViolation, SpecError
-from .modcodes import LinearCode, is_constacyclic, vscale, zero_code
-from .tracecodes import context, decompose_cyclic
+from .modcodes import LinearCode, is_constacyclic, vadd, vscale, zero_code
+from .tracecodes import code_from_partition, context, decompose_cyclic
 
 
 def concatenate(v, gamma: RingElement, u: int):
@@ -116,41 +116,46 @@ def dual_contraction_partition(
     return result.partition.star_dual(u, result.omega)
 
 
-def preimage_code(code: LinearCode, gamma: RingElement, u: int) -> LinearCode:
-    """The preimage of a length-u*n code under the concatenation map.
+def _pull_back(dual_big: LinearCode, gamma: RingElement, u: int) -> LinearCode:
+    """The preimage under the concatenation map of the code whose dual is
+    dual_big.
 
     Uses the adjoint: <concat(k), d> = <k, T(d)> with T summing the blocks
     of d scaled by the matching gamma powers, so the preimage is the dual
-    of T applied to the dual generators.
+    of T applied to the generators of dual_big.
     """
-    ring = code.ring
+    ring = dual_big.ring
+    n = dual_big.length // u
+    scales = [ring.pow(gamma, u - 1 - b) for b in range(u)]
+    rows = []
+    for g in dual_big.sf_rows:
+        row = vscale(scales[0], g[:n])
+        for b in range(1, u):
+            row = vadd(row, vscale(scales[b], g[b * n : (b + 1) * n]))
+        rows.append(row)
+    return LinearCode(ring, n, rows).dual()
+
+
+def preimage_code(code: LinearCode, gamma: RingElement, u: int) -> LinearCode:
+    """The preimage of a length-u*n code under the concatenation map."""
     if u < 1 or code.length % u:
         raise SpecError(f"u = {u} must divide the length {code.length}")
-    n = code.length // u
-    rows = []
-    for g in code.dual().sf_rows:
-        row = [ring.zero] * n
-        for b in range(u):
-            scale = ring.pow(gamma, u - 1 - b)
-            for j in range(n):
-                row[j] = row[j] + scale * g[b * n + j]
-        rows.append(tuple(row))
-    return LinearCode(ring, n, rows).dual()
+    return _pull_back(code.dual(), gamma, u)
 
 
 def contract_dual(result: ContractionResult, u: int) -> LinearCode:
     """dual(K) through the star-dual partition of the concatenation.
 
-    Builds the dual cyclic code from the star-dual partition and pulls it
-    back through the concatenation map, without ever calling dual() on K.
+    The star dual is the partition of the cyclic code D whose preimage is
+    dual(K), so its tilde dual is the partition of dual(D).  That code is
+    built directly and pulled back through the adjoint of the
+    concatenation map: dual() is called neither on K nor on D, only once
+    on the length-n pull-back T(dual(D)).
     """
-    from .tracecodes import code_from_partition, context
-
     ring = result.code.ring
-    big_length = result.code.length * u
-    ctx = context(ring, big_length)
+    ctx = context(ring, result.code.length * u)
     dual_big = code_from_partition(
-        ctx, dual_contraction_partition(result, u)
+        ctx, dual_contraction_partition(result, u).tilde_dual()
     )
     # The dual contraction is gamma^(-1)-constacyclic.
-    return preimage_code(dual_big, ring.inv(result.gamma), u)
+    return _pull_back(dual_big, ring.inv(result.gamma), u)

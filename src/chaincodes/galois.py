@@ -20,7 +20,7 @@ from .chainring import (
     ring_spec,
 )
 from .errors import SpecError
-from .modcodes import LinearCode
+from .modcodes import LinearCode, vdot
 
 
 class GaloisExtension:
@@ -230,7 +230,7 @@ class GaloisExtension:
             ]
             self._gram_inv = _invert_unit_matrix(self.base, gram)
         rhs = [self.trace(self.top._mul(a, self.xi_pow(j))) for j in range(self.m)]
-        return tuple([self.base.row_dot(row, rhs) for row in self._gram_inv])
+        return tuple([vdot(row, rhs) for row in self._gram_inv])
 
 
 def _int_poly_eval(ring: ChainRing, poly, x: RingElement) -> RingElement:

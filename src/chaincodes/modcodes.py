@@ -4,6 +4,11 @@ A code caches its standard-form matrix at construction: rows with pivots
 theta^t placed by valuation-greedy elimination, giving the type
 (k_0, ..., k_{s-1}), the rank, and the cardinality q^(sum (s-t) k_t).
 
+Elimination runs on the ring's encoded rows (element indices in a ring
+with lookup tables, see ``chainring``): a code encodes its generators once,
+reduces them, keeps the encoded standard form for membership and the dual,
+and decodes ``sf_rows`` once at the end.
+
 The standard form keeps one invariant that the rest of the module reads:
 row i is theta^t_i at its pivot column c_i, zero at the pivot columns of
 the rows before it, a residue modulo theta^t_j at the pivot column of
@@ -35,11 +40,14 @@ def vsub(u, v):
 
 
 def vscale(c, v):
-    return tuple(c.ring.row_scale(c, v))
+    ring = c.ring
+    return ring.decode_row(ring.row_scale(ring.encode(c), ring.encode_row(v)))
 
 
 def vdot(u, v):
-    return u[0].ring.row_dot(u, v)
+    ring = u[0].ring
+    (dot,) = ring.row_dots(ring.encode_row(u), [ring.encode_row(v)])
+    return ring.decode(dot)
 
 
 def weight(v) -> int:
@@ -74,31 +82,36 @@ class LinearCode:
         self.ring = ring
         self.length = length
         self.generators = tuple(rows)
-        self._reduce()
+        self._reduce([ring.encode_row(r) for r in rows])
 
-    def _reduce(self):
+    def _reduce(self, rows):
         ring = self.ring
         s = ring.s
-        rows = [list(r) for r in self.generators if any(r)]
+
+        def lead(row):
+            # The row's least valuation at its first column; zero entries
+            # have valuation s.
+            vals = ring.row_valuations(row)
+            v = min(vals)
+            return v, vals.index(v)
+
+        rows = [r for r in rows if any(r)]
+        leads = [lead(r) for r in rows]  # kept for the rows not yet pivots
         pivots: list[tuple[int, int]] = []  # (column, theta-valuation)
         done = 0
         while True:
-            # The least (valuation, column, row) over the nonzero entries:
-            # per row, its least valuation at its first column; zero
-            # entries have valuation s.
-            best = None  # (val, col, row)
-            for j in range(done, len(rows)):
-                vals = ring.row_valuations(rows[j])
-                v = min(vals)
-                if v < s:
-                    cand = (v, vals.index(v), j)
-                    if best is None or cand < best:
-                        best = cand
-            if best is None:
+            # The least (valuation, column, row) over the nonzero entries.
+            cands = [
+                (v, c, j)
+                for j, (v, c) in enumerate(leads[done:], done)
+                if v < s
+            ]
+            if not cands:
                 break
-            val, col, j = best
+            val, col, j = min(cands)
             rows[done], rows[j] = rows[j], rows[done]
-            scale = ring.inv(ring.theta_shift_down(rows[done][col], val))
+            leads[done], leads[j] = leads[j], leads[done]
+            scale = ring.entry_inv(ring.entry_divide(rows[done][col], val))
             rows[done] = row = ring.row_scale(scale, rows[done])
             for k, other in enumerate(rows):
                 b = other[col]
@@ -106,14 +119,17 @@ class LinearCode:
                     continue
                 # Rows below lose the pivot column; rows above keep its
                 # residue modulo theta^val.
-                if k > done and ring.theta_valuation(b) < val:
+                if k > done and ring.entry_valuation(b) < val:
                     raise AssertionError("valuation-greedy pivot violated")
-                coeff = ring.theta_quotient(b, val)
+                coeff = ring.entry_quotient(b, val)
                 if coeff:
                     rows[k] = ring.row_axpy(other, coeff, row)
+                    if k > done:
+                        leads[k] = lead(rows[k])
             pivots.append((col, val))
             done += 1
-        self.sf_rows = tuple([tuple(r) for r in rows[:done]])
+        self._sf = rows[:done]
+        self.sf_rows = tuple([ring.decode_row(r) for r in self._sf])
         self.pivots = tuple(pivots)
         kt = [0] * s
         for _, v in pivots:
@@ -131,16 +147,16 @@ class LinearCode:
 
     def __contains__(self, v) -> bool:
         ring = self.ring
-        v = list(v)
+        v = ring.encode_row(v)
         if len(v) != self.length:
             raise SpecError("vector length mismatch")
-        for row, (col, val) in zip(self.sf_rows, self.pivots):
+        for row, (col, val) in zip(self._sf, self.pivots):
             a = v[col]
             if not a:
                 continue
-            if ring.theta_valuation(a) < val:
+            if ring.entry_valuation(a) < val:
                 return False
-            coeff = ring.theta_quotient(a, val)
+            coeff = ring.entry_quotient(a, val)
             if coeff:
                 v = ring.row_axpy(v, coeff, row)
         return not any(v)
@@ -201,7 +217,8 @@ class LinearCode:
         is divisible by theta^t_i: t_i was the least valuation left when
         the row was chosen, and the later pivot rows it was reduced by have
         valuation >= t_i.  So subtracting theta_shift_down(g_i[j], t_i)
-        times column c_i from each column j != c_i clears row i but for its
+        times column c_i from each column j != c_i (any preimage of g_i[j]
+        under theta^t_i serves: ``entry_divide``) clears row i but for its
         pivot, and changes no other row, because column c_i is theta^t_i at
         row i and zero at every other: the rows before i are cleared
         already, and the rows after it are zero there.  No row operation
@@ -212,14 +229,12 @@ class LinearCode:
         """
         ring = self.ring
         n, s = self.length, ring.s
-        qcols = [
-            [ring.one if i == j else ring.zero for i in range(n)]
-            for j in range(n)
-        ]
-        for row, (col, val) in zip(self.sf_rows, self.pivots):
+        one, zero = ring.encode(ring.one), ring.encode(ring.zero)
+        qcols = [[one if i == j else zero for i in range(n)] for j in range(n)]
+        for row, (col, val) in zip(self._sf, self.pivots):
             for j, b in enumerate(row):
                 if b and j != col:
-                    coeff = ring.theta_shift_down(b, val)
+                    coeff = ring.entry_divide(b, val)
                     qcols[j] = ring.row_axpy(qcols[j], coeff, qcols[col])
         levels = dict(self.pivots)
         gens = []
@@ -228,8 +243,9 @@ class LinearCode:
             if t == s:
                 gens.append(col)
             elif t:
-                gens.append(ring.row_scale(ring.theta_pow(s - t), col))
-        return LinearCode(ring, n, gens)
+                scale = ring.encode(ring.theta_pow(s - t))
+                gens.append(ring.row_scale(scale, col))
+        return LinearCode(ring, n, [ring.decode_row(g) for g in gens])
 
     # -- comparisons and algebra ------------------------------------------
 

@@ -20,12 +20,13 @@ from .cosets import (
     CyclotomicPartition,
     coset,
     count_classes,
+    cosets,
     make_partition,
     representatives,
 )
 from .errors import NotCyclic, SpecError
 from .galois import GaloisExtension, extend
-from .modcodes import LinearCode, is_constacyclic, vscale
+from .modcodes import LinearCode, vscale
 
 
 class EvalContext:
@@ -43,6 +44,7 @@ class EvalContext:
         self.ext = extend(ring, self.m)
         self.w = (ring.q**self.m - 1) // ell
         self.eta = self.ext.xi_pow(self.w)
+        self._trace_memo: dict[int, tuple] = {}  # one entry per coset
 
     def eta_pow(self, e: int) -> RingElement:
         return self.ext.xi_pow(self.w * (e % self.ell))
@@ -61,13 +63,16 @@ def context(ring: ChainRing, ell: int) -> EvalContext:
 
 def _trace_rows(ctx: EvalContext, rep: int):
     """R-module generators of the irreducible cyclic code of the coset [rep]:
-    rows (Tr(xi^k eta^(rep*j)))_j for k < m."""
-    ext, w, ell = ctx.ext, ctx.w, ctx.ell
-    rows = []
-    for k in range(ext.m):
-        rows.append(
-            tuple([ext.trace_xi_pow(k + w * rep * j) for j in range(ell)])
-        )
+    the standard form of the rows (Tr(xi^k eta^(rep*j)))_j for k < m, one
+    per coset member, kept per context."""
+    rows = ctx._trace_memo.get(rep)
+    if rows is None:
+        ext, w, ell = ctx.ext, ctx.w, ctx.ell
+        traces = [
+            [ext.trace_xi_pow(k + w * rep * j) for j in range(ell)]
+            for k in range(ext.m)
+        ]
+        rows = ctx._trace_memo[rep] = LinearCode(ctx.ring, ell, traces).sf_rows
     return rows
 
 
@@ -148,7 +153,21 @@ def code_from_partition(
 
 
 def decompose_cyclic(code: LinearCode) -> CyclotomicPartition:
-    """Recover the (q, s)-cyclotomic partition of a cyclic code.
+    """Recover the (q, s)-cyclotomic partition of a cyclic code, in one pass.
+
+    The level of a representative z is the least theta-valuation of <g, h>
+    over the standard-form rows g and the generators h of C_[-z], the
+    trace rows of the coset [-z] (s when every such product is zero).
+    C_[-z] pairs to zero with every irreducible cyclic code but C_[z], and
+    its pairing with C_[z] is perfect, so a cyclic code gets its own
+    partition.
+
+    Any code C lies inside the cyclic code D of the computed partition P:
+    the dual of D is the code of the tilde dual of P, spanned by
+    theta^(s - t_z) h for the trace rows h of [-z], and each g is
+    orthogonal to those because theta^t_z divides <g, h>.  So |C| = |D| =
+    prod q^((s - t_z) m_z) proves C = D, shift-invariance included, and a
+    mismatch proves C is not cyclic.
 
     Raises NotCyclic when the code is not shift-invariant (or its length
     shares a factor with q, leaving no eta to evaluate at).
@@ -158,27 +177,26 @@ def decompose_cyclic(code: LinearCode) -> CyclotomicPartition:
         raise NotCyclic(
             f"length {code.length} is not coprime to q = {ring.q}"
         )
-    if not is_constacyclic(code, ring.one):
-        raise NotCyclic("code is not invariant under the cyclic shift")
-    ctx = context(ring, code.length)
+    ell = code.length
+    ctx = context(ring, ell)
     s = ring.s
+    rows = [ring.encode_row(g) for g in code.sf_rows]
     assignment = {}
     size = 1
-    for rep in representatives(ctx.universe):
-        gens = _trace_rows(ctx, rep)
+    for orbit in cosets(ctx.universe):
+        opposite = min((-z) % ell for z in orbit.members)
+        hs = [ring.encode_row(h) for h in _trace_rows(ctx, opposite)]
         level = s
-        for t in range(s):
-            scale = ring.theta_pow(t)
-            if all(vscale(scale, g) in code for g in gens):
-                level = t
+        for g in rows:
+            for d in ring.row_dots(g, hs):
+                if d:
+                    level = min(level, ring.entry_valuation(d))
+            if not level:
                 break
-        assignment[rep] = level
-        m_z = len(coset(ctx.universe, rep))
-        size *= ring.q ** ((s - level) * m_z)
+        assignment[min(orbit.members)] = level
+        size *= ring.q ** ((s - level) * len(orbit))
     if size != code.cardinality:
-        raise NotCyclic(
-            "code is not a direct sum of scaled irreducible cyclic codes"
-        )
+        raise NotCyclic("code is not invariant under the cyclic shift")
     return make_partition(ctx.universe, s, assignment)
 
 

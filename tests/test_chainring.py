@@ -170,3 +170,31 @@ def test_first_build_checks_irreducibility_twice(monkeypatch):
     monkeypatch.setattr(_polys, "is_irreducible_fp", counted)
     make_ring('{"family":"EU","p":7,"r":2,"s":3,"modulus":[3,1,1]}')
     assert len(calls) == 2
+
+
+def test_cache_hit_runs_no_modulus_search(monkeypatch):
+    # The smallest-irreducible search runs once per (p, r); a cache hit
+    # only re-checks the modulus when its JSON spec is parsed.
+    from chaincodes import _polys
+
+    spec = '{"family":"GR","p":5,"r":3,"s":2}'
+    ring = make_ring(spec)
+    calls = []
+    check = _polys.is_irreducible_fp
+
+    def counted(h, p):
+        calls.append(h)
+        return check(h, p)
+
+    monkeypatch.setattr(_polys, "is_irreducible_fp", counted)
+    assert make_ring(spec) is ring
+    assert len(calls) <= 1
+
+
+def test_prime_bound_rejected():
+    from chaincodes._ints import PRIME_TEST_BOUND
+
+    with pytest.raises(SpecError):
+        ChainRingSpec("GR", PRIME_TEST_BOUND + 2, 1, 1, (0, 1)).validate()
+    with pytest.raises(SpecError):
+        ChainRingSpec.from_json({"family": "GR", "p": 10**25 + 13, "r": 1, "s": 1})

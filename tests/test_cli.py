@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import time
 
 import pytest
 
@@ -19,6 +20,39 @@ cosets mod 20 under multiplication by 3:
   11: {11, 13, 17, 19}
 representatives: 0 1 2 4 5 10 11
 count: 7
+"""
+
+
+GOLDEN_ENUMERATE_Z9_4 = """\
+cyclic codes of length 4 over GR(p=3,r=1,s=2):
+  partition {"0": 0, "1": 0, "2": 0}  type [4, 0]  cardinality 6561
+  partition {"0": 0, "1": 0, "2": 1}  type [3, 1]  cardinality 2187
+  partition {"0": 0, "1": 0, "2": 2}  type [3, 0]  cardinality 729
+  partition {"0": 0, "1": 1, "2": 0}  type [2, 2]  cardinality 729
+  partition {"0": 0, "1": 1, "2": 1}  type [1, 3]  cardinality 243
+  partition {"0": 0, "1": 1, "2": 2}  type [1, 2]  cardinality 81
+  partition {"0": 0, "1": 2, "2": 0}  type [2, 0]  cardinality 81
+  partition {"0": 0, "1": 2, "2": 1}  type [1, 1]  cardinality 27
+  partition {"0": 0, "1": 2, "2": 2}  type [1, 0]  cardinality 9
+  partition {"0": 1, "1": 0, "2": 0}  type [3, 1]  cardinality 2187
+  partition {"0": 1, "1": 0, "2": 1}  type [2, 2]  cardinality 729
+  partition {"0": 1, "1": 0, "2": 2}  type [2, 1]  cardinality 243
+  partition {"0": 1, "1": 1, "2": 0}  type [1, 3]  cardinality 243
+  partition {"0": 1, "1": 1, "2": 1}  type [0, 4]  cardinality 81
+  partition {"0": 1, "1": 1, "2": 2}  type [0, 3]  cardinality 27
+  partition {"0": 1, "1": 2, "2": 0}  type [1, 1]  cardinality 27
+  partition {"0": 1, "1": 2, "2": 1}  type [0, 2]  cardinality 9
+  partition {"0": 1, "1": 2, "2": 2}  type [0, 1]  cardinality 3
+  partition {"0": 2, "1": 0, "2": 0}  type [3, 0]  cardinality 729
+  partition {"0": 2, "1": 0, "2": 1}  type [2, 1]  cardinality 243
+  partition {"0": 2, "1": 0, "2": 2}  type [2, 0]  cardinality 81
+  partition {"0": 2, "1": 1, "2": 0}  type [1, 2]  cardinality 81
+  partition {"0": 2, "1": 1, "2": 1}  type [0, 3]  cardinality 27
+  partition {"0": 2, "1": 1, "2": 2}  type [0, 2]  cardinality 9
+  partition {"0": 2, "1": 2, "2": 0}  type [1, 0]  cardinality 9
+  partition {"0": 2, "1": 2, "2": 1}  type [0, 1]  cardinality 3
+  partition {"0": 2, "1": 2, "2": 2}  type [0, 0]  cardinality 1
+total: 27  free: 8
 """
 
 
@@ -133,6 +167,34 @@ def test_enumerate_cyclic(capsys):
     doc = json.loads(out)
     assert doc["total"] == 27 and doc["free"] == 8
     assert len(doc["codes"]) == 27
+
+
+def test_enumerate_cyclic_golden(capsys):
+    code, out, _ = run(capsys, "enumerate-cyclic", "--ring", Z9_SPEC, "--ell", "4")
+    assert code == 0
+    assert out == GOLDEN_ENUMERATE_Z9_4
+
+
+def test_enumerate_cyclic_budget(capsys, monkeypatch):
+    # 3^23 cyclic codes: refused from the coset count alone, before any
+    # extension ring or code is built.
+    import chaincodes.cli
+
+    def enumerate_nothing(ring, ell):
+        raise AssertionError("enumeration started over budget")
+
+    monkeypatch.setattr(chaincodes.cli, "enumerate_cyclic_codes", enumerate_nothing)
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "enumerate-cyclic", "--ring", Z9_SPEC, "--ell", "80"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 4 and "budget" in err and not out
+    code, _, _ = run(
+        capsys, "enumerate-cyclic", "--ring", Z9_SPEC, "--ell", "4",
+        "--budget", "26",
+    )
+    assert code == 4
 
 
 def test_verify(capsys):

@@ -1,5 +1,6 @@
 """Tests for the concatenation map and contraction of cyclic codes."""
 
+import itertools
 import warnings
 
 import pytest
@@ -17,10 +18,12 @@ from chaincodes import (
     code_from_partition,
     constashift,
     dual_contraction_partition,
+    eu_ring,
     full_code,
     galois_ring,
     make_partition,
     preimage_code,
+    representatives,
     weight,
     zero_code,
 )
@@ -80,6 +83,20 @@ def test_contract_paper_instance_20():
     assert k.same_code(k.dual())  # self-dual
     assert contract_dual(res, 2).same_code(k)
     assert concatenation_code(k, NEG, 2).same_code(c)
+
+
+@pytest.mark.parametrize("ring", [Z9, eu_ring(3, 1, 2)])
+def test_contract_dual_matches_dual(ring):
+    # Every length-20 code whose information exponents are odd: the odd
+    # cosets take any level, the even ones level s.
+    ctx = context(ring, 20)
+    odd = [z for z in representatives(ctx.universe) if z % 2]
+    for levels in itertools.product(range(ring.s + 1), repeat=len(odd)):
+        assignment = dict.fromkeys(representatives(ctx.universe), ring.s)
+        assignment.update(zip(odd, levels))
+        c = code_from_partition(ctx, make_partition(ctx.universe, ring.s, assignment))
+        res = contract_code(c, 2)
+        assert contract_dual(res, 2).same_code(res.code.dual())
 
 
 def test_contract_zero_code():

@@ -1,0 +1,40 @@
+"""Tests for the integer helpers."""
+
+import time
+
+import pytest
+
+from chaincodes._ints import PRIME_TEST_BOUND, is_prime
+
+
+def trial_division_is_prime(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [n for n in range(20000) if is_prime(n)] == [
+        n for n in range(20000) if trial_division_is_prime(n)
+    ]
+
+
+def test_is_prime_rejects_pseudoprimes():
+    assert not is_prime(561)  # Carmichael number
+    assert not is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5, 7
+    assert not is_prime(3825123056546413051)  # strong to bases 2..23
+
+
+def test_is_prime_large():
+    start = time.perf_counter()
+    assert is_prime(10**18 + 3)
+    assert not is_prime((10**9 + 7) * (10**9 + 9))
+    assert is_prime(2**61 - 1)
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(ValueError):
+        is_prime(PRIME_TEST_BOUND)

@@ -1,10 +1,11 @@
 """Table-backed arithmetic and elimination agree with the coordinate
 arithmetic and with theta-adic-digit elimination."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaincodes import LinearCode, eu_ring, galois_ring
+from chaincodes import LinearCode, SpecError, eu_ring, galois_ring
 from chaincodes.chainring import TABLE_CAP
 
 SMALL_RINGS = [
@@ -15,6 +16,8 @@ SMALL_RINGS = [
     for s in (1, 2, 3)
     if p ** (r * s) <= TABLE_CAP
 ]
+
+BIG_RINGS = [galois_ring(2, 1, 9), galois_ring(3, 2, 3), eu_ring(3, 2, 3)]
 
 
 @st.composite
@@ -157,20 +160,45 @@ def test_tables_agree_with_coordinates(data):
         assert ring.theta_quotient(b, v) is expected
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_row_operations_agree_with_element_operations(data):
-    ring = data.draw(small_rings())
+    # The kernel on encoded rows (element indices with tables, elements
+    # above the cap) against the coordinate arithmetic.
+    ring = data.draw(st.one_of(small_rings(), st.sampled_from(BIG_RINGS)))
     n = data.draw(st.integers(1, 5))
     u = [data.draw(elements(ring)) for _ in range(n)]
     v = [data.draw(elements(ring)) for _ in range(n)]
     c = data.draw(elements(ring))
-    assert ring.row_axpy(u, c, v) == [a - c * b for a, b in zip(u, v)]
-    assert ring.row_scale(c, v) == [c * b for b in v]
-    dot = ring.zero
-    for a, b in zip(u, v):
-        dot = dot + a * b
-    assert ring.row_dot(u, v) is dot
+    add, mul, neg = ring._add_coords, ring._mul_coords, ring._neg_coords
+    enc, dec = ring.encode_row, ring.decode_row
+    assert dec(ring.row_axpy(enc(u), ring.encode(c), enc(v))) == tuple(
+        add(a, neg(mul(c, b))) for a, b in zip(u, v)
+    )
+    assert dec(ring.row_scale(ring.encode(c), enc(v))) == tuple(
+        mul(c, b) for b in v
+    )
+    dots = []
+    for w in (v, u):
+        dot = ring.zero
+        for a, b in zip(u, w):
+            dot = add(dot, mul(a, b))
+        dots.append(dot)
+    assert dec(ring.row_dots(enc(u), [enc(v), enc(u)])) == tuple(dots)
+    assert ring.row_valuations(enc(v)) == [ring._valuation_coords(b) for b in v]
+    for b in v:
+        x = ring.encode(b)
+        val = ring._valuation_coords(b)
+        assert ring.entry_valuation(x) == val
+        if ring.is_unit(b):
+            assert ring.decode(ring.entry_inv(x)) is ring._inv_coords(b)
+        for k in range(ring.s + 1):
+            assert ring.decode(ring.entry_quotient(x, k)) is ring._quotient_digits(b, k)
+            if k <= val:
+                assert mul(ring.theta_pow(k), ring.decode(ring.entry_divide(x, k))) is b
+            else:
+                with pytest.raises(SpecError):
+                    ring.entry_divide(x, k)
 
 
 @settings(max_examples=100, deadline=None)
@@ -193,7 +221,7 @@ def test_index_is_element_order():
 def test_ring_above_cap_builds_no_tables():
     small = galois_ring(2, 1, 8)
     assert small.size == TABLE_CAP and small.has_tables
-    for ring in (galois_ring(2, 1, 9), galois_ring(3, 2, 3), eu_ring(3, 2, 3)):
+    for ring in BIG_RINGS:
         assert ring.size > TABLE_CAP and not ring.has_tables
         a, b = ring.element_at(ring.size - 2), ring.element_at(5)
         assert a * b - b is ring._add_coords(

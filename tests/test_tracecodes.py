@@ -1,6 +1,10 @@
 """Tests for evaluation codes, trace codes, and the partition bijection."""
 
+from math import gcd
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaincodes import (
     CyclotomicPartition,
@@ -29,6 +33,7 @@ from chaincodes import (
     zero_code,
 )
 from chaincodes import oracle
+from chaincodes.cosets import coset, representatives
 
 Z9 = galois_ring(3, 1, 2)
 CTX4 = context(Z9, 4)
@@ -183,3 +188,83 @@ def test_field_case_matches_oracle():
     rebuilt = [c for _, c in enumerate_cyclic_codes(F3, 4)]
     for c in subs:
         assert any(c.same_code(r) for r in rebuilt)
+
+
+@pytest.mark.parametrize(
+    "ring, ell",
+    [(galois_ring(2, 1, 3), 7), (galois_ring(2, 2, 2), 5), (eu_ring(2, 1, 3), 7)],
+)
+def test_round_trip_and_tilde_dual_over_more_rings(ring, ell):
+    ctx = context(ring, ell)
+    for partition, c in enumerate_cyclic_codes(ring, ell):
+        assert decompose_cyclic(c) == partition
+        assert c.dual().same_code(
+            code_from_partition(ctx, partition.tilde_dual())
+        )
+
+
+def membership_decompose(code):
+    """Reference decomposition: check shift-invariance on the generators,
+    give each coset [z] the least t with theta^t C_[z] inside the code, and
+    check the cardinality."""
+    ring = code.ring
+    if gcd(ring.q, code.length) != 1:
+        raise NotCyclic("length shares a factor with q")
+    if not is_constacyclic(code, ring.one):
+        raise NotCyclic("code is not invariant under the cyclic shift")
+    ctx = context(ring, code.length)
+    s = ring.s
+    assignment = {}
+    size = 1
+    for rep in representatives(ctx.universe):
+        gens = irreducible_cyclic_code(ctx, rep).sf_rows
+        level = s
+        for t in range(s):
+            scale = ring.theta_pow(t)
+            if all(tuple(scale * a for a in g) in code for g in gens):
+                level = t
+                break
+        assignment[rep] = level
+        size *= ring.q ** ((s - level) * len(coset(ctx.universe, rep)))
+    if size != code.cardinality:
+        raise NotCyclic("code is not a direct sum of scaled cyclic codes")
+    return make_partition(ctx.universe, s, assignment)
+
+
+DECOMPOSE_CASES = [
+    (galois_ring(3, 1, 2), (4, 5, 8)),
+    (eu_ring(3, 1, 2), (4, 8)),
+    (galois_ring(2, 1, 3), (3, 7)),
+    (galois_ring(2, 2, 2), (3, 5)),
+]
+
+
+@st.composite
+def random_codes(draw):
+    """Random codes, made cyclic about half the time by adding every
+    cyclic shift of the drawn rows."""
+    ring, lengths = draw(st.sampled_from(DECOMPOSE_CASES))
+    n = draw(st.sampled_from(lengths))
+    k = draw(st.integers(0, 3))
+
+    def entry():
+        a = ring.element_at(draw(st.integers(0, ring.size - 1)))
+        return a * ring.theta_pow(draw(st.integers(0, ring.s)))
+
+    rows = [[entry() for _ in range(n)] for _ in range(k)]
+    if draw(st.booleans()):
+        rows += [r[j:] + r[:j] for r in rows for j in range(1, n)]
+    return LinearCode(ring, n, rows)
+
+
+def outcome(decompose, code):
+    try:
+        return decompose(code)
+    except NotCyclic:
+        return NotCyclic
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_codes())
+def test_decompose_matches_membership_reference(code):
+    assert outcome(decompose_cyclic, code) == outcome(membership_decompose, code)
