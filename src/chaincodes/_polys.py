@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from ._ints import factorize
 from .errors import SpecError
 
 
@@ -95,30 +96,36 @@ def fp_ext_gcd(a, b, p):
     return r0, x0, y0
 
 
+def _fp_pow_mod(a, e, h, p):
+    """a^e modulo the monic h over F_p, by square and multiply."""
+    out = [1]
+    while e:
+        if e & 1:
+            out = mod_unit_lead(mul(out, a, p), h, p)
+        a = mod_unit_lead(mul(a, a, p), h, p)
+        e >>= 1
+    return out
+
+
 def is_irreducible_fp(h, p) -> bool:
-    """Trial-division irreducibility test for a monic h over F_p."""
+    """Rabin's test for h over F_p (nonzero leading coefficient): h of
+    degree r is irreducible exactly when it divides x^(p^r) - x and
+    gcd(h, x^(p^(r/d)) - x) = 1 for each prime d dividing r."""
     h = trim([c % p for c in list(h)])
     r = len(h) - 1
     if r < 1:
         return False
     if r == 1:
         return True
-    # No monic divisor of degree 1..r//2.
-    for d in range(1, r // 2 + 1):
-        for idx in range(p**d):
-            cand = _poly_from_index(idx, d, p)
-            if not mod_unit_lead(h, cand, p):
-                return False
-    return True
-
-
-def _poly_from_index(idx, degree, p):
-    coeffs = []
-    for _ in range(degree):
-        coeffs.append(idx % p)
-        idx //= p
-    coeffs.append(1)
-    return coeffs
+    h = scalar_mul(pow(h[-1], -1, p), h, p)
+    checks = {r // d for d, _ in factorize(r)}
+    x = [0, 1]
+    frob = x  # x^(p^k) mod h
+    for k in range(1, r + 1):
+        frob = _fp_pow_mod(frob, p, h, p)
+        if k in checks and len(fp_ext_gcd(h, sub(frob, x, p), p)[0]) > 1:
+            return False
+    return frob == x
 
 
 @lru_cache(maxsize=128)
@@ -126,26 +133,22 @@ def smallest_irreducible(p: int, r: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree r over F_p,
     coefficients compared lowest degree first.  Degree 1 yields x itself.
     The search runs once per (p, r); the result is a tuple, as it is
-    shared."""
+    shared.  For r >= 2 it starts at c_0 = 1, as x divides every candidate
+    with c_0 = 0."""
     if r == 1:
         return (0, 1)
-    for idx_tuple in _lex_tuples(p, r):
-        cand = list(idx_tuple) + [1]
-        if is_irreducible_fp(cand, p):
-            return tuple(cand)
+    for c0 in range(1, p):
+        for idx in range(p ** (r - 1)):
+            # (c_1, ..., c_{r-1}) are the base-p digits of idx, c_1 first.
+            cand = [1]
+            for _ in range(r - 1):
+                idx, c = divmod(idx, p)
+                cand.append(c)
+            cand.append(c0)
+            cand.reverse()
+            if is_irreducible_fp(cand, p):
+                return tuple(cand)
     raise SpecError(f"no irreducible polynomial of degree {r} over F_{p}")
-
-
-def _lex_tuples(p, r):
-    # (c_0, ..., c_{r-1}) in lexicographic order with c_0 most significant.
-    def rec(prefix):
-        if len(prefix) == r:
-            yield tuple(prefix)
-            return
-        for c in range(p):
-            yield from rec(prefix + [c])
-
-    yield from rec([])
 
 
 def hensel_lift_modulus(hbar: list[int], p: int, s: int) -> list[int]:

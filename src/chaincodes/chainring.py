@@ -23,18 +23,28 @@ a time, through the coordinate arithmetic that larger rings use directly;
 element arithmetic maps an index back through ``elements()``.
 
 Elimination runs on encoded rows through one kernel: ``encode_row`` gives
-a list of element indices in a ring with tables and a list of elements
-above the cap, and the row operations (``row_axpy``, ``row_scale``,
-``row_dots``, ``row_valuations``) and the entry operations
+a ``bytes`` string of element indices in a ring with tables and a list of
+elements above the cap, and the row operations (``row_axpy``,
+``row_scale``, ``row_dots``, ``row_valuations``) and the entry operations
 (``entry_valuation``, ``entry_quotient``, ``entry_divide``, ``entry_inv``)
 take and return that encoding.  Zero encodes as a false value either way.
+On byte rows the row work runs in C, through ``bytes.translate`` with
+256-entry tables filled from the index tables on first use.  Addition is
+digit-wise on indices (base B = ``p^s`` for ``GR``, ``p`` for ``EU``), so
+``row_axpy`` adds two rows as integers (``int.from_bytes``) once their
+digits are re-spelt in base 2B, where no sum carries, and folds the sums
+back with one ``translate``; and ``row_dots`` sums each index digit of the
+entrywise products modulo B.  In rings of at most ``PAIR_CAP`` elements
+those products come from one ``translate`` of the two rows packed into one,
+a byte ``(a << 4) | b`` per entry.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import getitem
 
 from . import _polys
 from ._ints import PRIME_TEST_BOUND, is_prime
@@ -44,6 +54,7 @@ from .fields import FqArith
 GALOIS_RING = "GR"
 EU_POWER_SERIES = "EU"
 TABLE_CAP = 256  # rings with at most this many elements use lookup tables
+PAIR_CAP = 16  # rings with at most this many elements pack index pairs in a byte
 
 
 @dataclass(frozen=True)
@@ -117,6 +128,11 @@ class _LazyTable(dict):
     def __missing__(self, key):
         value = self[key] = self.fill(key)
         return value
+
+
+def _translation(entries) -> bytes:
+    """A bytes.translate table: the given entries, padded to 256 with 0."""
+    return bytes(entries) + bytes(256 - len(entries))
 
 
 class RingElement:
@@ -206,7 +222,9 @@ class ChainRing:
         self.theta = self.make(theta)
         self._teich = None
         self._elements = None
+        self._residue_ring = None
         self.has_tables = self.size <= TABLE_CAP
+        self._pairs = self.size <= PAIR_CAP
         if self.has_tables:
             self._build_tables()
         else:
@@ -232,6 +250,80 @@ class ChainRing:
         self._quo_tabs = [
             entry(self._quotient_digits, v) for v in range(self.s + 1)
         ]
+        self._mul_bytes = _LazyTable(lambda c: _translation(self._mul_rows[c]))
+
+    # Translation tables of the byte-row kernel, built on first use.
+
+    @cached_property
+    def _val_bytes(self) -> bytes:
+        return _translation([self._val_tab[i] for i in range(self.size)])
+
+    @cached_property
+    def _pair_mul(self) -> bytes:
+        """The table of (a << 4) | b -> a*b, for |R| <= PAIR_CAP."""
+        mul, size = self._mul_rows, self.size
+        return bytes(
+            [
+                mul[a][b] if a < size and b < size else 0
+                for a in range(16)
+                for b in range(16)
+            ]
+        )
+
+    @cached_property
+    def _digits(self) -> tuple[int, int]:
+        """(B, d): indices are d-digit base-B numbers, and addition adds
+        their digits modulo B."""
+        if self.family == GALOIS_RING:
+            return self._pm, self.r
+        return self.p, self.r * self.s
+
+    @cached_property
+    def _high_digits(self) -> tuple[tuple[bytes, int], ...]:
+        """Per index digit k >= 1: (table of index -> digit k, B^k)."""
+        base, count = self._digits
+        return tuple(
+            (
+                _translation([i // base**k % base for i in range(self.size)]),
+                base**k,
+            )
+            for k in range(1, count)
+        )
+
+    @cached_property
+    def _sum_groups(self):
+        """Tables that add index rows a byte at a time, or None when one
+        digit's sum (up to 2B - 2) does not fit a byte.
+
+        The digits are cut into groups of J, the most with (2B)^J <= 256.
+        Per group, ``code`` re-spells an index's digits in base 2B (None
+        when it is the identity), so the sum of two codes carries into no
+        other digit or byte, and ``fold`` takes such a sum to the group's
+        share of the index of the sum."""
+        base, count = self._digits
+        wide = 2 * base
+        if wide > 256:
+            return None
+        per = 1
+        while wide ** (per + 1) <= 256:
+            per += 1
+        groups = []
+        for first in range(0, count, per):
+            ks = range(first, min(first + per, count))
+            code = _translation(
+                [
+                    sum(i // base**k % base * wide ** (k - first) for k in ks)
+                    for i in range(self.size)
+                ]
+            )
+            fold = _translation(
+                [
+                    sum(y // wide ** (k - first) % wide % base * base**k for k in ks)
+                    for y in range(256)
+                ]
+            )
+            groups.append((None if count == 1 else code, fold))
+        return tuple(groups)
 
     # -- identity ---------------------------------------------------------
 
@@ -385,9 +477,9 @@ class ChainRing:
     def decode(self, x) -> RingElement:
         return self._elements[x] if self.has_tables else x
 
-    def encode_row(self, v) -> list:
+    def encode_row(self, v):
         if self.has_tables:
-            return [a.index for a in v]
+            return bytes([a.index for a in v])
         return list(v)
 
     def decode_row(self, v) -> tuple[RingElement, ...]:
@@ -396,31 +488,45 @@ class ChainRing:
             return tuple([elems[x] for x in v])
         return tuple(v)
 
-    def row_axpy(self, u, c, v) -> list:
+    def row_axpy(self, u, c, v):
         """The row u - c*v, entrywise."""
-        if self._add_rows is None:
+        if not self.has_tables:
             return [a - c * b for a, b in zip(u, v)]
-        add = self._add_rows
-        cv = self._mul_rows[self._neg_tab[c]]  # x -> (-c)*x
-        return [add[a][cv[b]] for a, b in zip(u, v)]
+        w = v.translate(self._mul_bytes[self._neg_tab[c]])  # (-c)*v
+        groups = self._sum_groups
+        if groups is None:
+            return bytes(map(getitem, map(self._add_rows.__getitem__, u), w))
+        n = len(u)
+        if len(groups) == 1:
+            ((code, fold),) = groups
+            if code is not None:
+                u, w = u.translate(code), w.translate(code)
+            total = int.from_bytes(u, "little") + int.from_bytes(w, "little")
+            return total.to_bytes(n, "little").translate(fold)
+        out = 0
+        for code, fold in groups:
+            total = int.from_bytes(u.translate(code), "little") + int.from_bytes(
+                w.translate(code), "little"
+            )
+            part = total.to_bytes(n, "little").translate(fold)
+            out += int.from_bytes(part, "little")
+        return out.to_bytes(n, "little")
 
-    def row_scale(self, c, v) -> list:
+    def row_scale(self, c, v):
         """The row c*v, entrywise."""
-        if self._mul_rows is None:
+        if not self.has_tables:
             return [c * a for a in v]
-        cv = self._mul_rows[c]
-        return [cv[a] for a in v]
+        return v.translate(self._mul_bytes[c])
 
-    def row_valuations(self, v) -> list[int]:
+    def row_valuations(self, v):
         """The theta-valuation of each entry (s for a zero entry)."""
-        if self._val_tab is None:
+        if not self.has_tables:
             return [self.theta_valuation(a) for a in v]
-        val = self._val_tab
-        return [val[a] for a in v]
+        return v.translate(self._val_bytes)
 
     def row_dots(self, u, vs) -> list:
         """The sums of the entrywise products of u with each row of vs."""
-        if self._add_rows is None:
+        if not self.has_tables:
             out = []
             for v in vs:
                 acc = self.zero
@@ -428,13 +534,33 @@ class ChainRing:
                     acc = acc + a * b
                 out.append(acc)
             return out
-        add, mul = self._add_rows, self._mul_rows
-        terms = [(j, mul[a]) for j, a in enumerate(u) if a]
         out = []
+        if not self._pairs:
+            add = self._add_rows
+            rows = list(map(self._mul_rows.__getitem__, u))  # x -> u_j*x
+            for v in vs:
+                acc = 0
+                for ua, b in zip(rows, v):
+                    acc = add[acc][ua[b]]
+                out.append(acc)
+            return out
+        # Pack each pair (u_j, v_j) into a byte, look the products up, and
+        # add them digit by digit.  The sum of the indices is the sum of the
+        # lowest digits modulo B, as B divides the weight of every other.
+        n = len(u)
+        high = int.from_bytes(u, "little") << 4
+        pair_mul = self._pair_mul
+        base = self._digits[0]
+        high_digits = self._high_digits
         for v in vs:
-            acc = 0
-            for j, ua in terms:
-                acc = add[acc][ua[v[j]]]
+            p = (
+                (high | int.from_bytes(v, "little"))
+                .to_bytes(n, "little")
+                .translate(pair_mul)
+            )
+            acc = sum(p) % base
+            for table, weight in high_digits:
+                acc += sum(p.translate(table)) % base * weight
             out.append(acc)
         return out
 
@@ -490,15 +616,13 @@ class ChainRing:
             return self.make(tuple(coords))
         return self.make((c,) + (0,) * (self.s - 1))
 
-    @lru_cache(maxsize=None)
-    def _residue_ring_cached(self):
-        return make_ring(
-            ChainRingSpec(EU_POWER_SERIES, self.p, self.r, 1, self.spec.modulus)
-        )
-
     def residue_ring(self) -> "ChainRing":
         """F_q presented as the chain ring F_{p^r}[u]/(u)."""
-        return self._residue_ring_cached()
+        if self._residue_ring is None:
+            self._residue_ring = make_ring(
+                ChainRingSpec(EU_POWER_SERIES, self.p, self.r, 1, self.spec.modulus)
+            )
+        return self._residue_ring
 
     def residue_element(self, a: RingElement) -> RingElement:
         return self.residue_ring().make((self.residue(a),))

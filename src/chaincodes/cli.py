@@ -108,6 +108,10 @@ def _parse_set(text: str) -> list[int]:
 
 def cmd_ring_info(args) -> int:
     ring = _ring_from_args(args)
+    if ring.q > args.budget:
+        raise BudgetExceeded(
+            f"the Teichmuller set has q = {ring.q} elements, over budget {args.budget}"
+        )
     teich = [list(b.coords) for b in ring.teichmuller_set()]
     doc = {
         "family": ring.family,
@@ -347,6 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("ring-info", cmd_ring_info, help="describe a chain ring")
     p.add_argument("--ring", required=True, help="ring spec JSON")
+    p.add_argument("--budget", type=int, default=oracle.MAX_CODEWORDS)
 
     p = add("cosets", cmd_cosets, help="q-cyclotomic cosets mod ell")
     p.add_argument("--ell", type=int, required=True)

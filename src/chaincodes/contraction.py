@@ -17,7 +17,7 @@ from math import gcd
 from .chainring import RingElement
 from .cosets import CyclotomicPartition
 from .errors import SingletonViolation, SpecError
-from .modcodes import LinearCode, is_constacyclic, vadd, vscale, zero_code
+from .modcodes import LinearCode, is_constacyclic, zero_code
 from .tracecodes import code_from_partition, context, decompose_cyclic
 
 
@@ -26,10 +26,16 @@ def concatenate(v, gamma: RingElement, u: int):
     if u < 1:
         raise SpecError("u must be >= 1")
     ring = gamma.ring
-    out = tuple(v)
-    block = out
+    return ring.decode_row(_concatenate_row(ring.encode_row(v), gamma, u))
+
+
+def _concatenate_row(v, gamma: RingElement, u: int):
+    """concatenate on an encoded row."""
+    ring = gamma.ring
+    c = ring.encode(gamma)
+    out = block = v
     for _ in range(u - 1):
-        block = vscale(gamma, block)
+        block = ring.row_scale(c, block)
         out = block + out
     return out
 
@@ -46,7 +52,7 @@ def concatenation_code(code: LinearCode, gamma: RingElement, u: int) -> LinearCo
         raise SpecError("gamma^u must be 1 for the concatenation to be cyclic")
     if not is_constacyclic(code, gamma):
         raise SpecError("code is not gamma-constacyclic")
-    rows = [concatenate(g, gamma, u) for g in code.sf_rows]
+    rows = [_concatenate_row(g, gamma, u) for g in code._sf]
     out = LinearCode(ring, u * code.length, rows)
     assert out.type == code.type
     return out
@@ -97,9 +103,9 @@ def contract_code(code: LinearCode, u: int) -> ContractionResult:
     gamma_top = ctx.ext.xi_pow(-omega * (order // u))
     gamma = ctx.ext.unembed(gamma_top)
     rows = []
-    for g in code.sf_rows:
+    for g in code._sf:
         tail = g[-n:]
-        if concatenate(tail, gamma, u) != g:
+        if _concatenate_row(tail, gamma, u) != g:
             raise AssertionError(
                 "generator does not follow the concatenation pattern"
             )
@@ -126,12 +132,16 @@ def _pull_back(dual_big: LinearCode, gamma: RingElement, u: int) -> LinearCode:
     """
     ring = dual_big.ring
     n = dual_big.length // u
-    scales = [ring.pow(gamma, u - 1 - b) for b in range(u)]
+    # row_axpy subtracts, so the blocks after the first are scaled by
+    # -gamma^(u-1-b).
+    scales = [ring.encode(ring.pow(gamma, u - 1))] + [
+        ring.encode(-ring.pow(gamma, u - 1 - b)) for b in range(1, u)
+    ]
     rows = []
-    for g in dual_big.sf_rows:
-        row = vscale(scales[0], g[:n])
+    for g in dual_big._sf:
+        row = ring.row_scale(scales[0], g[:n])
         for b in range(1, u):
-            row = vadd(row, vscale(scales[b], g[b * n : (b + 1) * n]))
+            row = ring.row_axpy(row, scales[b], g[b * n : (b + 1) * n])
         rows.append(row)
     return LinearCode(ring, n, rows).dual()
 

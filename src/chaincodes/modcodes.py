@@ -4,10 +4,12 @@ A code caches its standard-form matrix at construction: rows with pivots
 theta^t placed by valuation-greedy elimination, giving the type
 (k_0, ..., k_{s-1}), the rank, and the cardinality q^(sum (s-t) k_t).
 
-Elimination runs on the ring's encoded rows (element indices in a ring
-with lookup tables, see ``chainring``): a code encodes its generators once,
-reduces them, keeps the encoded standard form for membership and the dual,
-and decodes ``sf_rows`` once at the end.
+Elimination runs on the ring's encoded rows (byte strings of element
+indices in a ring with lookup tables, see ``chainring``): a code encodes
+its generators once, reduces them and keeps the encoded standard form
+(``_sf``).  Membership, the dual, ``decompose_cyclic`` and the
+contraction maps work on it, and codes they build take encoded rows, so
+``generators`` and ``sf_rows`` are decoded only when read.
 
 The standard form keeps one invariant that the rest of the module reads:
 row i is theta^t_i at its pivot column c_i, zero at the pivot columns of
@@ -20,6 +22,7 @@ elimination.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import product
 
 from .chainring import ChainRing, RingElement
@@ -33,10 +36,6 @@ DEFAULT_CODEWORD_BUDGET = 1 << 24
 
 def vadd(u, v):
     return tuple([a + b for a, b in zip(u, v)])
-
-
-def vsub(u, v):
-    return tuple([a - b for a, b in zip(u, v)])
 
 
 def vscale(c, v):
@@ -67,22 +66,44 @@ def constashift(v, gamma: RingElement):
 
 
 class LinearCode:
-    """An R-submodule of R^length, spanned by the given generator rows."""
+    """An R-submodule of R^length, spanned by the given generator rows.
+
+    A row is a sequence of ring elements or, in a ring with tables, a
+    ``bytes`` row of element indices as ``ring.encode_row`` makes it.
+    ``generators`` and ``sf_rows`` hold element tuples, decoded from the
+    encoded rows when first read."""
 
     def __init__(self, ring: ChainRing, length: int, rows=()):
         if length < 1:
             raise SpecError("code length must be >= 1")
-        rows = [tuple(r) for r in rows]
+        encoded = []
         for r in rows:
+            if isinstance(r, bytes) and ring.has_tables:
+                if len(r) != length:
+                    raise SpecError("generator row length mismatch")
+                if r and max(r) >= ring.size:
+                    raise SpecError("generator entries must belong to the ring")
+                encoded.append(r)
+                continue
+            r = tuple(r)
             if len(r) != length:
                 raise SpecError("generator row length mismatch")
             for a in r:
                 if not isinstance(a, RingElement) or a.ring is not ring:
                     raise SpecError("generator entries must belong to the ring")
+            encoded.append(ring.encode_row(r))
         self.ring = ring
         self.length = length
-        self.generators = tuple(rows)
-        self._reduce([ring.encode_row(r) for r in rows])
+        self._gens = tuple(encoded)
+        self._reduce(encoded)
+
+    @cached_property
+    def generators(self) -> tuple:
+        return tuple([self.ring.decode_row(r) for r in self._gens])
+
+    @cached_property
+    def sf_rows(self) -> tuple:
+        return tuple([self.ring.decode_row(r) for r in self._sf])
 
     def _reduce(self, rows):
         ring = self.ring
@@ -92,8 +113,10 @@ class LinearCode:
             # The row's least valuation at its first column; zero entries
             # have valuation s.
             vals = ring.row_valuations(row)
-            v = min(vals)
-            return v, vals.index(v)
+            for v in range(s):
+                if v in vals:
+                    return v, vals.index(v)
+            return s, 0
 
         rows = [r for r in rows if any(r)]
         leads = [lead(r) for r in rows]  # kept for the rows not yet pivots
@@ -129,7 +152,6 @@ class LinearCode:
             pivots.append((col, val))
             done += 1
         self._sf = rows[:done]
-        self.sf_rows = tuple([ring.decode_row(r) for r in self._sf])
         self.pivots = tuple(pivots)
         kt = [0] * s
         for _, v in pivots:
@@ -146,10 +168,14 @@ class LinearCode:
         return self.rank == 0
 
     def __contains__(self, v) -> bool:
-        ring = self.ring
-        v = ring.encode_row(v)
+        v = self.ring.encode_row(v)
         if len(v) != self.length:
             raise SpecError("vector length mismatch")
+        return self._holds(v)
+
+    def _holds(self, v) -> bool:
+        """Membership of an encoded row of the right length."""
+        ring = self.ring
         for row, (col, val) in zip(self._sf, self.pivots):
             a = v[col]
             if not a:
@@ -229,8 +255,11 @@ class LinearCode:
         """
         ring = self.ring
         n, s = self.length, ring.s
-        one, zero = ring.encode(ring.one), ring.encode(ring.zero)
-        qcols = [[one if i == j else zero for i in range(n)] for j in range(n)]
+        one, zero = ring.one, ring.zero
+        qcols = [
+            ring.encode_row([one if i == j else zero for i in range(n)])
+            for j in range(n)
+        ]
         for row, (col, val) in zip(self._sf, self.pivots):
             for j, b in enumerate(row):
                 if b and j != col:
@@ -245,7 +274,7 @@ class LinearCode:
             elif t:
                 scale = ring.encode(ring.theta_pow(s - t))
                 gens.append(ring.row_scale(scale, col))
-        return LinearCode(ring, n, [ring.decode_row(g) for g in gens])
+        return LinearCode(ring, n, gens)
 
     # -- comparisons and algebra ------------------------------------------
 
@@ -254,7 +283,7 @@ class LinearCode:
             return False
         if self.cardinality != other.cardinality:
             return False
-        return all(r in other for r in self.sf_rows)
+        return all(other._holds(r) for r in self._sf)
 
     def __eq__(self, other):
         if not isinstance(other, LinearCode):

@@ -26,7 +26,7 @@ from .cosets import (
 )
 from .errors import NotCyclic, SpecError
 from .galois import GaloisExtension, extend
-from .modcodes import LinearCode, vscale
+from .modcodes import LinearCode
 
 
 class EvalContext:
@@ -44,7 +44,7 @@ class EvalContext:
         self.ext = extend(ring, self.m)
         self.w = (ring.q**self.m - 1) // ell
         self.eta = self.ext.xi_pow(self.w)
-        self._trace_memo: dict[int, tuple] = {}  # one entry per coset
+        self._trace_memo: dict[int, LinearCode] = {}  # one entry per coset
 
     def eta_pow(self, e: int) -> RingElement:
         return self.ext.xi_pow(self.w * (e % self.ell))
@@ -61,25 +61,25 @@ def context(ring: ChainRing, ell: int) -> EvalContext:
     return _context_cached(ring.key, ell)
 
 
-def _trace_rows(ctx: EvalContext, rep: int):
-    """R-module generators of the irreducible cyclic code of the coset [rep]:
-    the standard form of the rows (Tr(xi^k eta^(rep*j)))_j for k < m, one
-    per coset member, kept per context."""
-    rows = ctx._trace_memo.get(rep)
-    if rows is None:
+def _trace_rows(ctx: EvalContext, rep: int) -> LinearCode:
+    """The irreducible cyclic code of the coset [rep], spanned by the rows
+    (Tr(xi^k eta^(rep*j)))_j for k < m and kept per context; its standard
+    form has one row per coset member."""
+    code = ctx._trace_memo.get(rep)
+    if code is None:
         ext, w, ell = ctx.ext, ctx.w, ctx.ell
         traces = [
             [ext.trace_xi_pow(k + w * rep * j) for j in range(ell)]
             for k in range(ext.m)
         ]
-        rows = ctx._trace_memo[rep] = LinearCode(ctx.ring, ell, traces).sf_rows
-    return rows
+        code = ctx._trace_memo[rep] = LinearCode(ctx.ring, ell, traces)
+    return code
 
 
 def irreducible_cyclic_code(ctx: EvalContext, z: int) -> LinearCode:
     """The minimal cyclic code whose nonzero exponents are the coset [z]."""
     rep = min(coset(ctx.universe, z).members)
-    return LinearCode(ctx.ring, ctx.ell, _trace_rows(ctx, rep))
+    return LinearCode(ctx.ring, ctx.ell, _trace_rows(ctx, rep)._sf)
 
 
 def trace_eval_code(ctx: EvalContext, exponents: CosetSet) -> LinearCode:
@@ -95,7 +95,7 @@ def trace_eval_code(ctx: EvalContext, exponents: CosetSet) -> LinearCode:
         if rep in seen:
             continue
         seen.add(rep)
-        rows.extend(_trace_rows(ctx, rep))
+        rows.extend(_trace_rows(ctx, rep)._sf)
     return LinearCode(ctx.ring, ctx.ell, rows)
 
 
@@ -139,7 +139,7 @@ def code_from_partition(
         )
     rows = []
     for t in range(ring.s):
-        scale = ring.theta_pow(t)
+        scale = ring.encode(ring.theta_pow(t))
         block = partition.blocks[t]
         seen = set()
         for z in block:
@@ -147,8 +147,8 @@ def code_from_partition(
             if rep in seen:
                 continue
             seen.add(rep)
-            for g in _trace_rows(ctx, rep):
-                rows.append(vscale(scale, g))
+            for g in _trace_rows(ctx, rep)._sf:
+                rows.append(ring.row_scale(scale, g))
     return LinearCode(ring, ctx.ell, rows)
 
 
@@ -180,14 +180,13 @@ def decompose_cyclic(code: LinearCode) -> CyclotomicPartition:
     ell = code.length
     ctx = context(ring, ell)
     s = ring.s
-    rows = [ring.encode_row(g) for g in code.sf_rows]
     assignment = {}
     size = 1
     for orbit in cosets(ctx.universe):
         opposite = min((-z) % ell for z in orbit.members)
-        hs = [ring.encode_row(h) for h in _trace_rows(ctx, opposite)]
+        hs = _trace_rows(ctx, opposite)._sf
         level = s
-        for g in rows:
+        for g in code._sf:
             for d in ring.row_dots(g, hs):
                 if d:
                     level = min(level, ring.entry_valuation(d))

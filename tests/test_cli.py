@@ -197,6 +197,28 @@ def test_enumerate_cyclic_budget(capsys, monkeypatch):
     assert code == 4
 
 
+def test_ring_info_budget(capsys, monkeypatch):
+    # q beyond the budget is refused before the Teichmuller set is listed;
+    # listing it is replaced by a failure, so a missing check cannot hang.
+    from chaincodes.chainring import ChainRing
+
+    def list_nothing(ring):
+        raise AssertionError("Teichmuller set listed over budget")
+
+    monkeypatch.setattr(ChainRing, "teichmuller_set", list_nothing)
+    for spec in (
+        '{"family":"GR","p":1000000000000000003,"r":1,"s":1}',
+        '{"family":"GR","p":1000000007,"r":2,"s":1}',
+        '{"family":"EU","p":2,"r":24,"s":1}',
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "ring-info", "--ring", spec)
+        assert time.perf_counter() - start < 1.0
+        assert code == 4 and "budget" in err and not out
+    code, _, _ = run(capsys, "ring-info", "--ring", Z9_SPEC, "--budget", "2")
+    assert code == 4
+
+
 def test_verify(capsys):
     code, out, _ = run(
         capsys, "verify", "--ring", Z9_SPEC, "--ell", "2", "--json"

@@ -19,6 +19,10 @@ SMALL_RINGS = [
 
 BIG_RINGS = [galois_ring(2, 1, 9), galois_ring(3, 2, 3), eu_ring(3, 2, 3)]
 
+# Table rings whose one index digit can sum past a byte (2B > 256), so the
+# row kernel adds them one entry at a time.
+WIDE_DIGIT_RINGS = [galois_ring(2, 1, 8), galois_ring(131, 1, 1)]
+
 
 @st.composite
 def small_rings(draw):
@@ -185,7 +189,7 @@ def test_row_operations_agree_with_element_operations(data):
             dot = add(dot, mul(a, b))
         dots.append(dot)
     assert dec(ring.row_dots(enc(u), [enc(v), enc(u)])) == tuple(dots)
-    assert ring.row_valuations(enc(v)) == [ring._valuation_coords(b) for b in v]
+    assert list(ring.row_valuations(enc(v))) == [ring._valuation_coords(b) for b in v]
     for b in v:
         x = ring.encode(b)
         val = ring._valuation_coords(b)
@@ -199,6 +203,39 @@ def test_row_operations_agree_with_element_operations(data):
             else:
                 with pytest.raises(SpecError):
                     ring.entry_divide(x, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_row_kernel_on_long_rows(data):
+    # Rows of up to 64 entries, whose packed integers span many machine
+    # words, against the coordinate arithmetic.
+    ring = data.draw(
+        st.one_of(small_rings(), st.sampled_from(WIDE_DIGIT_RINGS + BIG_RINGS))
+    )
+    n = data.draw(st.integers(1, 64))
+    row = st.lists(elements(ring), min_size=n, max_size=n)
+    u, v, w = data.draw(row), data.draw(row), data.draw(row)
+    c = data.draw(elements(ring))
+    add, mul, neg = ring._add_coords, ring._mul_coords, ring._neg_coords
+    enc, dec = ring.encode_row, ring.decode_row
+    assert dec(ring.row_axpy(enc(u), ring.encode(c), enc(v))) == tuple(
+        add(a, neg(mul(c, b))) for a, b in zip(u, v)
+    )
+    assert dec(ring.row_scale(ring.encode(c), enc(v))) == tuple(
+        mul(c, b) for b in v
+    )
+    dots = []
+    for x in (v, w, u):
+        dot = ring.zero
+        for a, b in zip(u, x):
+            dot = add(dot, mul(a, b))
+        dots.append(dot)
+    got = ring.row_dots(enc(u), [enc(v), enc(w), enc(u)])
+    assert tuple(ring.decode(d) for d in got) == tuple(dots)
+    assert list(ring.row_valuations(enc(v))) == [
+        ring._valuation_coords(b) for b in v
+    ]
 
 
 @settings(max_examples=100, deadline=None)
@@ -241,3 +278,20 @@ def test_ring_above_cap_builds_no_tables():
             ring._quo_tabs,
         )
         assert tables == (None,) * 6
+
+
+def test_code_from_encoded_rows():
+    # Byte rows of element indices are generators too, checked for length
+    # and range; they decode to the same elements.
+    ring = galois_ring(3, 1, 2)
+    rows = [[ring.element_at(1), ring.element_at(8)], [ring.theta, ring.zero]]
+    code = LinearCode(ring, 2, [ring.encode_row(r) for r in rows])
+    assert code.generators == tuple(tuple(r) for r in rows)
+    assert code.key() == LinearCode(ring, 2, rows).key()
+    with pytest.raises(SpecError):
+        LinearCode(ring, 2, [bytes([0, ring.size])])
+    with pytest.raises(SpecError):
+        LinearCode(ring, 3, [bytes([0, 1])])
+    big = BIG_RINGS[0]
+    with pytest.raises(SpecError):
+        LinearCode(big, 2, [bytes([0, 1])])
