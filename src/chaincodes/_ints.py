@@ -58,10 +58,25 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def integer_root(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def prime_power_base(n: int) -> int | None:
-    """The prime p when n = p^k (k >= 1), else None."""
-    fac = factorize(n) if n > 1 else ()
-    return fac[0][0] if len(fac) == 1 else None
+    """The prime p when n = p^k (k >= 1), else None: write n = m^k with k
+    as large as possible, and p = m when m is prime."""
+    if n < 2:
+        return None
+    for k in range(n.bit_length(), 0, -1):
+        root = integer_root(n, k)
+        if root**k == n:
+            return root if is_prime(root) else None
 
 
 def divisors(n: int) -> list[int]:

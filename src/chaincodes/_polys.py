@@ -72,10 +72,6 @@ def mod_unit_lead(a, b, n):
     return divmod_unit_lead(a, b, n)[1]
 
 
-def deriv(a, n):
-    return trim([(i * c) % n for i, c in enumerate(a)][1:])
-
-
 def fp_ext_gcd(a, b, p):
     """Extended gcd over F_p[x]: returns monic g and (x, y) with xa + yb = g."""
     r0, r1 = [c % p for c in a], [c % p for c in b]

@@ -7,7 +7,9 @@ Two concrete families are provided, both realizing every pair (q, s):
 * ``EU``:  F_{p^r}[u]/(u^s), so q = p^r and theta = u.
 
 Elements are immutable and interned per ring: equal coordinates mean the
-same object.  Coordinates are lowest-degree-first integer coefficients in
+same object.  The Teichmuller set Gamma(R), the q solutions of b^q = b, is
+the image of the closed-form lift a -> a^(q^(s-1)), and theta-adic digits
+are taken in it.  Coordinates are lowest-degree-first integer coefficients in
 the canonical polynomial basis; integers live in [0, p^s) for ``GR`` and in
 [0, p^r) (residue-field encoding) per u-power for ``EU``.  Each element also
 carries a dense ``index``: its position in ``ring.elements()`` (the
@@ -57,6 +59,27 @@ TABLE_CAP = 256  # rings with at most this many elements use lookup tables
 PAIR_CAP = 16  # rings with at most this many elements pack index pairs in a byte
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_invariants(family, p, r, s) -> None:
+    """Check everything but the modulus; the modulus search assumes it."""
+    if family not in (GALOIS_RING, EU_POWER_SERIES):
+        raise SpecError(f"unknown ring family {family!r}")
+    for name, value in (("p", p), ("r", r), ("s", s)):
+        if not _is_int(value):
+            raise SpecError(f"{name} must be an integer, got {value!r}")
+    if p >= PRIME_TEST_BOUND:
+        raise SpecError(f"p = {p} is too large to certify as prime")
+    if not is_prime(p):
+        raise SpecError(f"p = {p} is not prime")
+    if r < 1:
+        raise SpecError("r must be >= 1")
+    if s < 1:
+        raise SpecError("s must be >= 1")
+
+
 @dataclass(frozen=True)
 class ChainRingSpec:
     """Defining data of a concrete finite chain ring."""
@@ -68,16 +91,7 @@ class ChainRingSpec:
     modulus: tuple[int, ...]  # monic degree-r polynomial over F_p, low first
 
     def validate(self) -> None:
-        if self.family not in (GALOIS_RING, EU_POWER_SERIES):
-            raise SpecError(f"unknown ring family {self.family!r}")
-        if self.p >= PRIME_TEST_BOUND:
-            raise SpecError(f"p = {self.p} is too large to certify as prime")
-        if not is_prime(self.p):
-            raise SpecError(f"p = {self.p} is not prime")
-        if self.r < 1:
-            raise SpecError("r must be >= 1")
-        if self.s < 1:
-            raise SpecError("s must be >= 1")
+        _check_invariants(self.family, self.p, self.r, self.s)
         mod = [c % self.p for c in self.modulus]
         if len(mod) != self.r + 1 or mod[-1] != 1:
             raise SpecError("modulus must be monic of degree r")
@@ -96,20 +110,24 @@ class ChainRingSpec:
     @staticmethod
     def from_json(doc) -> "ChainRingSpec":
         if isinstance(doc, str):
-            doc = json.loads(doc)
+            try:
+                doc = json.loads(doc)
+            except ValueError as exc:
+                raise SpecError(f"malformed ring spec: {exc}") from exc
         if not isinstance(doc, dict):
             raise SpecError("ring spec must be a JSON object")
         try:
-            family = doc["family"]
-            p = int(doc["p"])
-            r = int(doc["r"])
-            s = int(doc["s"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SpecError(f"malformed ring spec: {exc}") from exc
-        if "modulus" in doc:
-            modulus = tuple(int(c) for c in doc["modulus"])
-        else:
+            family, p, r, s = [doc[key] for key in ("family", "p", "r", "s")]
+        except KeyError as exc:
+            raise SpecError(f"ring spec has no {exc}") from exc
+        _check_invariants(family, p, r, s)
+        modulus = doc.get("modulus")
+        if modulus is None:
             modulus = _polys.smallest_irreducible(p, r)
+        elif isinstance(modulus, list) and all(map(_is_int, modulus)):
+            modulus = tuple(modulus)
+        else:
+            raise SpecError("modulus must be a list of integers")
         spec = ChainRingSpec(family, p, r, s, modulus)
         spec.validate()
         return spec
@@ -210,15 +228,13 @@ class ChainRing:
         self._base = self._pm if self.family == GALOIS_RING else self.q
         self._cache: dict[tuple[int, ...], RingElement] = {}
         self.zero = self.make((0,) * width)
+        self.one = self.make((1,) + (0,) * (width - 1))
         if self.family == GALOIS_RING:
-            self.one = self.make((1,) + (0,) * (width - 1))
             theta = (self.p % self._pm,) + (0,) * (width - 1)
+        elif self.s == 1:
+            theta = (0,) * width
         else:
-            self.one = self.make((1,) + (0,) * (width - 1))
-            if self.s == 1:
-                theta = (0,) * width
-            else:
-                theta = (0, 1) + (0,) * (width - 2)
+            theta = (0, 1) + (0,) * (width - 2)
         self.theta = self.make(theta)
         self._teich = None
         self._elements = None
@@ -368,8 +384,7 @@ class ChainRing:
             raise SpecError(
                 f"expected {self._width} coordinates, got {len(coords)}"
             )
-        bound = self._pm if self.family == GALOIS_RING else self.q
-        coords = tuple(c % bound for c in coords)
+        coords = tuple(c % self._base for c in coords)
         return self.make(coords)
 
     def from_int(self, k: int) -> RingElement:
@@ -450,10 +465,8 @@ class ChainRing:
         if self.family == GALOIS_RING:
             n = self._pm
             return self.make(tuple([(k * x) % n for x in a.coords]))
-        fq = self.fq
-        kf = k % self.p  # integers act through the prime subfield
-        scal = kf  # constant field element
-        return self.make(tuple([fq.mul(scal, x) for x in a.coords]))
+        fq, k = self.fq, k % self.p  # integers act through the prime subfield
+        return self.make(tuple([fq.mul(k, x) for x in a.coords]))
 
     def pow(self, a: RingElement, e: int) -> RingElement:
         if e < 0:
@@ -596,24 +609,14 @@ class ChainRing:
     def residue(self, a: RingElement) -> int:
         """The canonical projection onto F_q, as the field-integer encoding."""
         if self.family == GALOIS_RING:
-            p = self.p
-            out = 0
-            mult = 1
-            for c in a.coords:
-                out += (c % p) * mult
-                mult *= p
-            return out
+            return self.fq.from_coeffs(a.coords)
         return a.coords[0]
 
     def lift(self, c: int) -> RingElement:
         """The naive coordinatewise lift of a residue-field element."""
         c %= self.q
         if self.family == GALOIS_RING:
-            coords = []
-            for _ in range(self.r):
-                coords.append(c % self.p)
-                c //= self.p
-            return self.make(tuple(coords))
+            return self.make(tuple(self.fq.to_coeffs(c)))
         return self.make((c,) + (0,) * (self.s - 1))
 
     def residue_ring(self) -> "ChainRing":
@@ -632,10 +635,7 @@ class ChainRing:
     def theta_pow(self, t: int) -> RingElement:
         if t >= self.s:
             return self.zero
-        out = self.one
-        for _ in range(t):
-            out = self._mul(out, self.theta)
-        return out
+        return self.pow(self.theta, t)
 
     def theta_valuation(self, a: RingElement) -> int:
         """Largest t <= s with a in R theta^t (s for the zero element)."""
@@ -675,13 +675,12 @@ class ChainRing:
         return self.make(a.coords[t:] + (0,) * t)
 
     def teichmuller(self, a: RingElement) -> RingElement:
-        """The Teichmuller representative with the same residue as a."""
-        b = a
-        while True:
-            c = self.pow(b, self.q)
-            if c is b or c == b:
-                return b
-            b = c
+        """The Teichmuller representative with the same residue as a, in
+        closed form a^(q^(s-1)).  With a = b + theta*c and b^q = b: in GR,
+        x = y mod p^k gives x^p = y^p mod p^(k+1), so the power is b; in EU
+        (characteristic p) the power is additive and (theta*c)^(q^(s-1)) is
+        0, as q^(s-1) >= s."""
+        return self.pow(a, self.q ** (self.s - 1))
 
     def teichmuller_set(self) -> tuple[RingElement, ...]:
         """The q solutions of b^q = b, ordered by residue 0..q-1."""
@@ -690,9 +689,6 @@ class ChainRing:
                 self.teichmuller(self.lift(c)) for c in range(self.q)
             )
         return self._teich
-
-    def teichmuller_of_residue(self, c: int) -> RingElement:
-        return self.teichmuller_set()[c % self.q]
 
     def theta_adic_expansion(self, a: RingElement) -> tuple[RingElement, ...]:
         """The unique digits (a_0, ..., a_{s-1}) in the Teichmuller set with
@@ -778,6 +774,7 @@ def make_ring(spec: ChainRingSpec | dict | str) -> ChainRing:
 def ring_spec(family: str, p: int, r: int, s: int, modulus=None) -> ChainRingSpec:
     """Convenience builder deriving the canonical modulus when omitted."""
     if modulus is None:
+        _check_invariants(family, p, r, s)
         modulus = _polys.smallest_irreducible(p, r)
     return ChainRingSpec(family, p, r, s, tuple(modulus))
 

@@ -54,9 +54,6 @@ class FqArith:
             mult *= p
         return out
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         if self.r == 1:
             return (a * b) % self.p

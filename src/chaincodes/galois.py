@@ -2,9 +2,12 @@
 
 The extension of degree m is built in the same family as the base with
 residue degree r*m, so one arithmetic kernel serves base and extension.
-The base embeds through a deterministically chosen root of its modulus,
-sigma acts by raising Teichmuller digits to the q-th power, and the trace
-is the sum of the sigma-orbit.
+The base embeds through a deterministically chosen root of its modulus:
+the modulus divides X^(q-1) - 1, so each of its roots in the extension is a
+Teichmuller element, and the one over the smallest residue-field root is
+taken as the Teichmuller lift of that root.  Sigma acts by raising
+Teichmuller digits to the q-th power, and the trace is the sum of the
+sigma-orbit.
 """
 
 from __future__ import annotations
@@ -56,32 +59,15 @@ class GaloisExtension:
         base, top = self.base, self.top
         if self.m == 1:
             return None
-        if base.r == 1:
-            return None  # base generated by 1; embedding is the integer map
         hbar = [c % base.p for c in base.spec.modulus]
         # Smallest residue-field root of the base modulus inside the top ring.
-        root_res = None
-        for c in range(top.q):
-            if top.fq.poly_eval(hbar, c) == 0:
-                root_res = c
-                break
+        root_res = next(
+            (c for c in range(top.q) if top.fq.poly_eval(hbar, c) == 0), None
+        )
         if root_res is None:
             raise AssertionError("base modulus must split in the extension")
-        w = top.lift(root_res)
-        if base.family == GALOIS_RING and base.s > 1:
-            w = self._newton_root(base.lifted_modulus, w)
+        w = top.teichmuller(top.lift(root_res))  # the root over root_res
         return [top.pow(w, j) for j in range(base.r)]
-
-    def _newton_root(self, poly, w):
-        """Hensel-lift a simple residue root of an integer polynomial."""
-        top = self.top
-        dpoly = [(i * c) for i, c in enumerate(poly)][1:]
-        for _ in range(top.s + 1):
-            fw = _int_poly_eval(top, poly, w)
-            dfw = _int_poly_eval(top, dpoly, w)
-            w = w - fw * top.inv(dfw)
-        assert not _int_poly_eval(top, poly, w)
-        return w
 
     def embed(self, a: RingElement) -> RingElement:
         """The injective ring homomorphism R -> S."""
@@ -89,31 +75,22 @@ class GaloisExtension:
             raise SpecError("embed expects an element of the base ring")
         if self.m == 1:
             return a
-        top = self.top
-        if self.base.r == 1:
-            if self.base.family == GALOIS_RING:
-                return top.from_int(a.coords[0])
-            # EU with prime residue field: coefficients are constants.
-            return top.make(a.coords)
         if self.base.family == GALOIS_RING:
-            out = top.zero
-            for j, c in enumerate(a.coords):
-                out = out + top.int_mul(c, self._embed_powers[j])
-            return out
-        # EU family: embed each residue-field coefficient.
+            return self._combine(a.coords)
+        # EU family: embed the residue-field coefficient of each power of u.
+        top = self.top
         out = top.zero
-        u_pow = top.one
-        for c in a.coords:
-            out = out + top._mul(self._embed_field(c), u_pow)
-            u_pow = top._mul(u_pow, top.theta) if top.s > 1 else u_pow
+        for t, c in enumerate(a.coords):
+            field = self._combine(self.base.fq.to_coeffs(c))
+            out = out + top._mul(field, top.theta_pow(t))
         return out
 
-    def _embed_field(self, c: int) -> RingElement:
+    def _combine(self, coeffs) -> RingElement:
+        """sum_j coeffs[j] * w^j in S, for w the embedding root."""
         top = self.top
         out = top.zero
-        digits = self.base.fq.to_coeffs(c)
-        for j, d in enumerate(digits):
-            out = out + top.int_mul(d, self._embed_powers[j])
+        for c, power in zip(coeffs, self._embed_powers):
+            out = out + top.int_mul(c, power)
         return out
 
     def _unembed_table(self):
@@ -231,13 +208,6 @@ class GaloisExtension:
             self._gram_inv = _invert_unit_matrix(self.base, gram)
         rhs = [self.trace(self.top._mul(a, self.xi_pow(j))) for j in range(self.m)]
         return tuple([vdot(row, rhs) for row in self._gram_inv])
-
-
-def _int_poly_eval(ring: ChainRing, poly, x: RingElement) -> RingElement:
-    out = ring.zero
-    for c in reversed(poly):
-        out = ring._mul(out, x) + ring.from_int(c)
-    return out
 
 
 def _invert_unit_matrix(ring: ChainRing, mat):

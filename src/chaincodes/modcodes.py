@@ -34,15 +34,6 @@ DEFAULT_CODEWORD_BUDGET = 1 << 24
 # -- vector helpers --------------------------------------------------------
 
 
-def vadd(u, v):
-    return tuple([a + b for a, b in zip(u, v)])
-
-
-def vscale(c, v):
-    ring = c.ring
-    return ring.decode_row(ring.row_scale(ring.encode(c), ring.encode_row(v)))
-
-
 def vdot(u, v):
     ring = u[0].ring
     (dot,) = ring.row_dots(ring.encode_row(u), [ring.encode_row(v)])
@@ -51,10 +42,6 @@ def vdot(u, v):
 
 def weight(v) -> int:
     return sum(1 for a in v if a)
-
-
-def zero_vector(ring: ChainRing, n: int):
-    return (ring.zero,) * n
 
 
 def constashift(v, gamma: RingElement):
@@ -187,15 +174,6 @@ class LinearCode:
                 v = ring.row_axpy(v, coeff, row)
         return not any(v)
 
-    def _coeff_choices(self, val: int):
-        ring = self.ring
-        free = ring.s - val
-        teich = ring.teichmuller_set()
-        out = []
-        for digits in product(teich, repeat=free):
-            out.append(ring.recompose(digits + (ring.zero,) * val))
-        return out
-
     def codewords(self, max_codewords: int | None = DEFAULT_CODEWORD_BUDGET):
         """Stream every codeword exactly once (cardinality many)."""
         if max_codewords is not None and self.cardinality > max_codewords:
@@ -203,21 +181,27 @@ class LinearCode:
                 f"|C| = {self.cardinality} exceeds budget {max_codewords}"
             )
         ring = self.ring
-        choices = [self._coeff_choices(val) for _, val in self.pivots]
-        zero = zero_vector(ring, self.length)
+        teich = ring.teichmuller_set()
+        # Row i takes every c whose theta-adic digits vanish from place
+        # s - t_i on, held as the encoded -c: row_axpy(w, -c, g) = w + c*g.
+        choices = [
+            [
+                ring.encode(-ring.recompose(digits + (ring.zero,) * val))
+                for digits in product(teich, repeat=ring.s - val)
+            ]
+            for _, val in self.pivots
+        ]
 
         def rec(i, partial):
-            if i == len(self.sf_rows):
-                yield partial
+            if i == len(self._sf):
+                yield ring.decode_row(partial)
                 return
-            row = self.sf_rows[i]
+            row = self._sf[i]
             for c in choices[i]:
-                if c:
-                    yield from rec(i + 1, vadd(partial, vscale(c, row)))
-                else:
-                    yield from rec(i + 1, partial)
+                word = ring.row_axpy(partial, c, row) if c else partial
+                yield from rec(i + 1, word)
 
-        yield from rec(0, zero)
+        yield from rec(0, ring.encode_row((ring.zero,) * self.length))
 
     def min_weight(self, max_codewords: int | None = DEFAULT_CODEWORD_BUDGET):
         """Exact minimum Hamming weight by codeword enumeration."""

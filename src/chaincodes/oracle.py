@@ -11,6 +11,7 @@ sizes; exceeding one raises BudgetExceeded.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 from .chainring import ChainRing
@@ -47,31 +48,21 @@ def _coord_mul(a, b):
     return a.ring._mul_coords(a, b)
 
 
+# Memoized per pair of (interned) elements for the life of the process, for
+# the loops over codeword sets, where the same pairs recur.
+_memo_add = cache(_coord_add)
+_memo_mul = cache(_coord_mul)
+
+
+def _coord_vadd(u, v):
+    return tuple([_memo_add(a, b) for a, b in zip(u, v)])
+
+
 def _coord_dot(u, v):
     out = u[0].ring.zero
     for a, b in zip(u, v):
         out = _coord_add(out, _coord_mul(a, b))
     return out
-
-
-class _PairMemo:
-    """Memoized elementwise binary operation on vectors of ring elements."""
-
-    def __init__(self, op):
-        self.op = op
-        self.memo = {}
-
-    def __call__(self, u, v):
-        memo = self.memo
-        op = self.op
-        out = []
-        for pair in zip(u, v):
-            c = memo.get(pair)
-            if c is None:
-                c = op(*pair)
-                memo[pair] = c
-            out.append(c)
-        return tuple(out)
 
 
 def all_vectors(ring: ChainRing, n: int, budget: Budget = Budget()):
@@ -89,11 +80,10 @@ def all_vectors(ring: ChainRing, n: int, budget: Budget = Budget()):
     yield from rec(n)
 
 
-def brute_span(ring: ChainRing, rows, budget: Budget = Budget(), _add=None):
+def brute_span(ring: ChainRing, rows, budget: Budget = Budget()):
     """The set of all R-linear combinations of the rows."""
     if not rows:
         return frozenset()
-    add = _add or _PairMemo(_coord_add)
     words = {(ring.zero,) * len(rows[0])}
     for g in rows:
         if g in words:
@@ -104,7 +94,7 @@ def brute_span(ring: ChainRing, rows, budget: Budget = Budget(), _add=None):
         fresh = set()
         for cg in scaled:
             for w in words:
-                fresh.add(add(w, cg))
+                fresh.add(_coord_vadd(w, cg))
         words = fresh
         budget.check_codewords(len(words))
     return frozenset(words)
@@ -142,7 +132,7 @@ def brute_is_constacyclic(code: LinearCode, gamma, budget: Budget = Budget()):
     )
 
 
-def _module_sum(a, b, add):
+def _module_sum(a, b):
     """a + b for two additively closed codeword sets, by whole translates:
     x + b is either already present or disjoint from everything so far."""
     if len(b) > len(a):
@@ -151,7 +141,7 @@ def _module_sum(a, b, add):
     for x in b:
         if x in out:
             continue
-        out.update(add(x, y) for y in a)
+        out.update(_coord_vadd(x, y) for y in a)
     return frozenset(out)
 
 
@@ -161,8 +151,6 @@ def brute_cyclic_submodule_words(
     """Every shift-invariant submodule of R^n, as a sorted list of codeword
     sets: spans of single shift-orbits, closed under pairwise sums."""
     budget.check_vectors(ring.size**n)
-    add = _PairMemo(_coord_add)
-    mul = _PairMemo(_coord_mul)
     units = [c for c in ring.elements() if ring.is_unit(c)]
     zero = (ring.zero,) * n
     found: set[frozenset] = {frozenset({zero})}
@@ -177,7 +165,7 @@ def brute_cyclic_submodule_words(
         for _ in range(n):
             w = (w[-1],) + w[:-1]
             for c in units:
-                variants.append(mul((c,) * n, w))
+                variants.append(tuple([_memo_mul(c, a) for a in w]))
         canon = min(tuple(a.coords for a in x) for x in variants)
         if canon in seen_orbits:
             continue
@@ -187,13 +175,13 @@ def brute_cyclic_submodule_words(
         for _ in range(n):
             orbit.append(w)
             w = (w[-1],) + w[:-1]
-        found.add(brute_span(ring, orbit, budget, _add=add))
+        found.add(brute_span(ring, orbit, budget))
     while True:
         fresh = set()
         for a, b in combinations(found, 2):
             if a <= b or b <= a:
                 continue
-            c = _module_sum(a, b, add)
+            c = _module_sum(a, b)
             if c not in found:
                 budget.check_codewords(len(c))
                 fresh.add(c)

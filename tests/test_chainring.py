@@ -1,6 +1,10 @@
 """Tests for finite chain ring construction and arithmetic."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaincodes import (
     ChainRingSpec,
@@ -8,7 +12,18 @@ from chaincodes import (
     eu_ring,
     galois_ring,
     make_ring,
+    ring_spec,
 )
+
+# Both families at p in {2, 3, 5}, r in {1, 2}, s in {1, 2, 3}: table rings
+# and rings above chainring.TABLE_CAP (up to 5^6 elements).
+RANDOM_RINGS = [
+    make(p, r, s)
+    for make in (galois_ring, eu_ring)
+    for p in (2, 3, 5)
+    for r in (1, 2)
+    for s in (1, 2, 3)
+]
 
 
 def test_z9_basics():
@@ -198,3 +213,127 @@ def test_prime_bound_rejected():
         ChainRingSpec("GR", PRIME_TEST_BOUND + 2, 1, 1, (0, 1)).validate()
     with pytest.raises(SpecError):
         ChainRingSpec.from_json({"family": "GR", "p": 10**25 + 13, "r": 1, "s": 1})
+
+
+@st.composite
+def ring_elements(draw, count):
+    ring = draw(st.sampled_from(RANDOM_RINGS))
+    index = st.integers(0, ring.size - 1)
+    return ring, [ring.element_at(draw(index)) for _ in range(count)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(ring_elements(3))
+def test_chain_ring_axioms(case):
+    ring, (a, b, c) = case
+    zero, one, s = ring.zero, ring.one, ring.s
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a and not a * zero
+    assert not a + (-a) and a - b == a + (-b)
+    # The ideals form the chain R theta^t: valuations add up to s.
+    assert not ring.pow(ring.theta, s) and ring.pow(ring.theta, s - 1)
+    va, vb = ring.theta_valuation(a), ring.theta_valuation(b)
+    assert ring.theta_valuation(a * b) == min(s, va + vb)
+    assert ring.is_unit(a) == (va == 0)
+    if va == 0:
+        assert a * ring.inv(a) == one
+    assert ring.recompose(ring.theta_adic_expansion(a)) == a
+
+
+def fixed_point_teichmuller(ring, a):
+    """The Teichmuller lift as the limit of a, a^q, a^(q^2), ..."""
+    b = a
+    while True:
+        c = ring.pow(b, ring.q)
+        if c == b:
+            return b
+        b = c
+
+
+@settings(max_examples=300, deadline=None)
+@given(ring_elements(1))
+def test_teichmuller_closed_form(case):
+    ring, (a,) = case
+    b = ring.teichmuller(a)
+    assert b == fixed_point_teichmuller(ring, a)
+    assert ring.pow(b, ring.q) == b
+    assert ring.residue(b) == ring.residue(a)
+
+
+@pytest.mark.parametrize("ring", RANDOM_RINGS, ids=lambda ring: ring.short_name())
+def test_teichmuller_set_has_one_element_per_residue(ring):
+    teich = ring.teichmuller_set()
+    assert [ring.residue(b) for b in teich] == list(range(ring.q))
+    assert all(ring.pow(b, ring.q) == b for b in teich)
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 9)
+    | st.floats(allow_nan=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def ring_spec_docs(draw):
+    """Ring-spec objects with each field drawn from good and bad values."""
+    doc = {
+        "family": draw(st.sampled_from(["GR", "EU"]) | JSON_VALUES),
+        "p": draw(st.sampled_from([2, 3, 4, 5]) | JSON_VALUES),
+        "r": draw(st.integers(-1, 4) | JSON_VALUES),
+        "s": draw(st.integers(-1, 4) | JSON_VALUES),
+        "modulus": draw(st.lists(st.integers(-2, 6), max_size=5) | JSON_VALUES),
+    }
+    for key in draw(st.sets(st.sampled_from(sorted(doc)))):
+        del doc[key]
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ring_spec_docs()
+    | ring_spec_docs().map(json.dumps)
+    | JSON_VALUES
+    | st.text(max_size=12)
+)
+def test_ring_spec_json_raises_only_spec_error(doc):
+    try:
+        spec = ChainRingSpec.from_json(doc)
+    except SpecError:
+        return
+    assert ChainRingSpec.from_json(spec.to_json()) == spec
+    assert ChainRingSpec.from_json(json.dumps(spec.to_json())) == spec
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"family": "GR", "p": 3, "r": 0, "s": 1}, "r must be >= 1"),
+        ({"family": "GR", "p": 4, "r": 2, "s": 1}, "p = 4 is not prime"),
+        ({"family": "GR", "p": 3, "r": 1.7, "s": 1}, "r must be an integer"),
+        ({"family": "GR", "p": True, "r": 1, "s": 1}, "p must be an integer"),
+        ({"family": "GR", "p": 3, "r": 2}, "ring spec has no 's'"),
+        ({"family": "GR", "p": 3, "r": 2, "s": 1, "modulus": [1, 0.5, 1]}, "modulus"),
+        ("[3]", "must be a JSON object"),
+        ("{", "malformed ring spec"),
+    ],
+)
+def test_ring_spec_rejected_before_modulus_search(monkeypatch, doc, message):
+    from chaincodes import _polys
+
+    def search_nothing(p, r):
+        raise AssertionError("modulus search ran on an unchecked spec")
+
+    monkeypatch.setattr(_polys, "smallest_irreducible", search_nothing)
+    with pytest.raises(SpecError, match=message):
+        ChainRingSpec.from_json(doc)
+    if isinstance(doc, dict) and set(doc) == {"family", "p", "r", "s"}:
+        with pytest.raises(SpecError, match=message):
+            ring_spec(**doc)

@@ -255,3 +255,33 @@ def test_exit_budget(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, _, err = run(capsys, "analyze", "--code", str(path), "--budget", "5")
     assert code == 4 and err
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ('{"family":"GR","p":3,"r":0,"s":1}', "r must be >= 1"),
+        ('{"family":"GR","p":4,"r":2,"s":1}', "p = 4 is not prime"),
+        ('{"family":"GR","p":3,"r":1.7,"s":1}', "r must be an integer"),
+        ('{"family":"XX","p":3,"r":2,"s":1}', "unknown ring family"),
+        ('{"family":"GR","p":3,"r":2,"s":1,"modulus":"x"}', "modulus must be"),
+    ],
+)
+def test_ring_info_rejects_bad_spec_before_modulus_search(
+    capsys, monkeypatch, spec, message
+):
+    from chaincodes import _polys
+
+    def search_nothing(p, r):
+        raise AssertionError("modulus search ran on an unchecked spec")
+
+    monkeypatch.setattr(_polys, "smallest_irreducible", search_nothing)
+    code, out, err = run(capsys, "ring-info", "--ring", spec)
+    assert code == 3 and message in err and not out
+
+
+def test_cosets_large_prime_q(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "cosets", "--ell", "4", "--q", "1000000000000000003")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and "count: 3" in out

@@ -181,3 +181,32 @@ def test_invert_unit_matrix(ring):
             bad[i] = [ring.theta * a for a in bad[i]]
             with pytest.raises(SpecError):
                 _invert_unit_matrix(ring, bad)
+
+
+def newton_root(top, poly, w):
+    """Newton's lift of a simple residue root w of an integer polynomial."""
+
+    def value(f, x):
+        out = top.zero
+        for c in reversed(f):
+            out = out * x + top.from_int(c)
+        return out
+
+    dpoly = [i * c for i, c in enumerate(poly)][1:]
+    for _ in range(top.s + 1):
+        w = w - value(poly, w) * top.inv(value(dpoly, w))
+    assert not value(poly, w)
+    return w
+
+
+@pytest.mark.parametrize(
+    "base", [galois_ring(3, 2, 2), galois_ring(2, 2, 3), galois_ring(5, 2, 2)]
+)
+def test_embedding_root_is_the_newton_lift(base):
+    ext = extend(base, 2)
+    top = ext.top
+    hbar = [c % base.p for c in base.spec.modulus]
+    root_res = min(c for c in range(top.q) if top.fq.poly_eval(hbar, c) == 0)
+    root = ext._embed_powers[1]
+    assert root == newton_root(top, base.lifted_modulus, top.lift(root_res))
+    assert top.residue(root) == root_res

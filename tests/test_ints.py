@@ -4,7 +4,13 @@ import time
 
 import pytest
 
-from chaincodes._ints import PRIME_TEST_BOUND, is_prime
+from chaincodes._ints import (
+    PRIME_TEST_BOUND,
+    factorize,
+    integer_root,
+    is_prime,
+    prime_power_base,
+)
 
 
 def trial_division_is_prime(n):
@@ -38,3 +44,29 @@ def test_is_prime_large():
     assert time.perf_counter() - start < 0.5
     with pytest.raises(ValueError):
         is_prime(PRIME_TEST_BOUND)
+
+
+def test_prime_power_base_agrees_with_factorize():
+    for q in range(10**4):
+        fac = factorize(q) if q > 1 else ()
+        assert prime_power_base(q) == (fac[0][0] if len(fac) == 1 else None)
+
+
+def test_prime_power_base_large():
+    start = time.perf_counter()
+    assert prime_power_base(10**18 + 3) == 10**18 + 3
+    assert prime_power_base((2**61 - 1) ** 3) == 2**61 - 1
+    assert prime_power_base(3**100) == 3
+    assert prime_power_base(6**30) is None
+    assert prime_power_base((10**9 + 7) * (10**9 + 9)) is None
+    assert prime_power_base(10**30) is None  # above PRIME_TEST_BOUND
+    assert time.perf_counter() - start < 0.5
+
+
+def test_integer_root():
+    for n in range(1, 3000):
+        for k in range(1, 12):
+            root = integer_root(n, k)
+            assert root**k <= n < (root + 1) ** k
+    assert integer_root(10**40 + 1, 4) == 10**10
+    assert integer_root(10**40 - 1, 4) == 10**10 - 1
