@@ -6,6 +6,12 @@ computes with each ring's coordinate arithmetic rather than the lookup
 tables that small rings use elsewhere, so that agreement with the
 structural results checks the tables too.  Budgets bound the enumeration
 sizes; exceeding one raises BudgetExceeded.
+
+brute_dual tabulates, once per call, the product of every ring element with
+every generator entry, and then walks R^n a coordinate at a time with one
+add per generator at each step.  Its tables are locals of the call, freed
+when it returns; the only process-lifetime memos here are the per-pair
+ones on adds and multiplies behind the codeword-set loops.
 """
 
 from __future__ import annotations
@@ -58,13 +64,6 @@ def _coord_vadd(u, v):
     return tuple([_memo_add(a, b) for a, b in zip(u, v)])
 
 
-def _coord_dot(u, v):
-    out = u[0].ring.zero
-    for a, b in zip(u, v):
-        out = _coord_add(out, _coord_mul(a, b))
-    return out
-
-
 def all_vectors(ring: ChainRing, n: int, budget: Budget = Budget()):
     """Every vector of R^n, in the canonical element order."""
     budget.check_vectors(ring.size**n)
@@ -81,23 +80,20 @@ def all_vectors(ring: ChainRing, n: int, budget: Budget = Budget()):
 
 
 def brute_span(ring: ChainRing, rows, budget: Budget = Budget()):
-    """The set of all R-linear combinations of the rows."""
+    """The set of all R-linear combinations of the rows: the sum of the
+    cyclic modules R*g, added one row at a time."""
     if not rows:
         return frozenset()
-    words = {(ring.zero,) * len(rows[0])}
+    words = frozenset({(ring.zero,) * len(rows[0])})
     for g in rows:
         if g in words:
             continue  # words is already a module containing g
-        scaled = [
+        multiples = {
             tuple([_coord_mul(c, a) for a in g]) for c in ring.elements()
-        ]
-        fresh = set()
-        for cg in scaled:
-            for w in words:
-                fresh.add(_coord_vadd(w, cg))
-        words = fresh
+        }
+        words = _module_sum(words, multiples)
         budget.check_codewords(len(words))
-    return frozenset(words)
+    return words
 
 
 def brute_codewords(code: LinearCode, budget: Budget = Budget()):
@@ -109,13 +105,34 @@ def brute_codewords(code: LinearCode, budget: Budget = Budget()):
 
 
 def brute_dual(code: LinearCode, budget: Budget = Budget()):
-    """All vectors orthogonal to every generator, as a set."""
-    gens = code.generators or ((code.ring.zero,) * code.length,)
+    """All vectors orthogonal to every generator, as a set: the leaves of
+    a walk over R^n, one coordinate at a time, whose inner products with
+    the generators, carried along the prefix, all end at zero."""
+    ring, n, gens = code.ring, code.length, code.generators
+    budget.check_vectors(ring.size**n)
+    elems = ring.elements()
+    # prods[i][k][j] = elems[k] * gens[j][i]
+    prods = [
+        [tuple([_coord_mul(a, g[i]) for g in gens]) for a in elems]
+        for i in range(n)
+    ]
     out = set()
-    for v in all_vectors(code.ring, code.length, budget):
-        if all(not _coord_dot(v, g) for g in gens):
-            out.add(v)
+    _dual_walk(elems, prods, (), (ring.zero,) * len(gens), out)
     return frozenset(out)
+
+
+def _dual_walk(elems, prods, prefix, sums, out):
+    """Add to out each completion of prefix whose sums all end at zero.
+    (A module-level function: a recursive closure would be a reference
+    cycle, and the cycle would hold the tables until a full collection.)"""
+    i = len(prefix)
+    last = i + 1 == len(prods)
+    for a, ps in zip(elems, prods[i]):
+        sums_a = tuple([_coord_add(x, y) for x, y in zip(sums, ps)])
+        if not last:
+            _dual_walk(elems, prods, prefix + (a,), sums_a, out)
+        elif not any(sums_a):
+            out.add(prefix + (a,))
 
 
 def brute_min_weight(code: LinearCode, budget: Budget = Budget()) -> int:

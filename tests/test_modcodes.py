@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaincodes import (
     LinearCode,
@@ -149,6 +151,37 @@ def test_galois_code_ops_small():
     assert oracle.same_words(tc, oracle.brute_trace_code(ext, b))
     rs = res_subring_code(ext, b)
     assert oracle.same_words(rs, oracle.brute_res_subring(ext, b))
+
+
+DELSARTE_EXTENSIONS = [
+    extend(Z9, 2),
+    extend(eu_ring(3, 1, 2), 2),
+    extend(galois_ring(2, 1, 3), 2),
+    extend(galois_ring(2, 1, 2), 2),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_trace_and_subring_codes_match_the_oracle(data):
+    """Over extend(R, 2) for R in Z9, F3[u]/(u^2), Z8, Z4: the trace and
+    subring codes against brute force, and Delsarte's Tr(C)^perp =
+    Res(C^perp)."""
+    ext = data.draw(st.sampled_from(DELSARTE_EXTENSIONS))
+    S = ext.top
+    n = data.draw(st.integers(1, 2))
+    entry = st.builds(
+        lambda i, v: S.element_at(i) * S.theta_pow(v),
+        st.integers(0, S.size - 1),
+        st.integers(0, S.s),
+    )
+    b = LinearCode(S, n, data.draw(st.lists(st.tuples(*[entry] * n), max_size=2)))
+    tr = trace_code(ext, b)
+    assert oracle.same_words(tr, oracle.brute_trace_code(ext, b))
+    assert oracle.same_words(
+        res_subring_code(ext, b), oracle.brute_res_subring(ext, b)
+    )
+    assert tr.dual().same_code(res_subring_code(ext, b.dual()))
 
 
 def test_budget_on_enumeration():

@@ -1,6 +1,8 @@
 """Tests for the brute-force oracle itself."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaincodes import (
     BudgetExceeded,
@@ -11,6 +13,7 @@ from chaincodes import (
     galois_ring,
     zero_code,
 )
+from chaincodes import oracle
 from chaincodes.oracle import (
     Budget,
     all_vectors,
@@ -85,3 +88,97 @@ def test_budget_enforced():
         brute_span(Z9, [vec(1, 0), vec(0, 1)], tight)
     with pytest.raises(BudgetExceeded):
         enumerate_cyclic_submodules(Z9, 2, tight)
+
+
+def test_brute_dual_checks_its_budget_before_any_product(monkeypatch):
+    calls = []
+    coord_mul = oracle._coord_mul
+
+    def counting_mul(a, b):
+        calls.append(1)
+        return coord_mul(a, b)
+
+    monkeypatch.setattr(oracle, "_coord_mul", counting_mul)
+    code = LinearCode(Z9, 2, [vec(1, 1)])
+    with pytest.raises(BudgetExceeded):
+        brute_dual(code, Budget(max_vectors=80))
+    assert calls == []
+    assert len(brute_dual(code, Budget(max_vectors=81))) == 9
+    assert calls  # the count does see the dual's multiplies
+
+
+# Test-only copies of the per-vector dual and the row-by-row span that
+# brute_dual and brute_span replaced: the references they are checked against.
+
+
+def _reference_dot(u, v):
+    out = u[0].ring.zero
+    for a, b in zip(u, v):
+        out = oracle._coord_add(out, oracle._coord_mul(a, b))
+    return out
+
+
+def reference_dual(code):
+    gens = code.generators or ((code.ring.zero,) * code.length,)
+    out = set()
+    for v in all_vectors(code.ring, code.length):
+        if all(not _reference_dot(v, g) for g in gens):
+            out.add(v)
+    return frozenset(out)
+
+
+def reference_span(ring, rows):
+    if not rows:
+        return frozenset()
+    words = {(ring.zero,) * len(rows[0])}
+    for g in rows:
+        if g in words:
+            continue
+        scaled = [
+            tuple([oracle._coord_mul(c, a) for a in g]) for c in ring.elements()
+        ]
+        fresh = set()
+        for cg in scaled:
+            for w in words:
+                fresh.add(oracle._coord_vadd(w, cg))
+        words = fresh
+    return frozenset(words)
+
+
+# (ring, largest length): Z512 = GR(2,1,9) is above the table cap.
+REFERENCE_RINGS = [
+    (Z9, 3),
+    (eu_ring(3, 1, 2), 3),
+    (galois_ring(2, 1, 3), 3),
+    (galois_ring(2, 2, 2), 3),
+    (galois_ring(2, 1, 9), 1),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_dual_and_span_match_the_per_vector_references(data):
+    ring, max_n = data.draw(st.sampled_from(REFERENCE_RINGS))
+    n = data.draw(st.integers(1, max_n))
+    entry = st.builds(
+        lambda i, v: ring.element_at(i) * ring.theta_pow(v),
+        st.integers(0, ring.size - 1),
+        st.integers(0, ring.s),
+    )
+    rows = data.draw(st.lists(st.tuples(*[entry] * n), max_size=3))
+    code = LinearCode(ring, n, rows)
+    assert brute_dual(code) == reference_dual(code)
+    assert brute_span(ring, rows) == reference_span(ring, rows)
+
+
+@pytest.mark.parametrize(
+    "ring,n", REFERENCE_RINGS, ids=[r.short_name() for r, _ in REFERENCE_RINGS]
+)
+def test_dual_and_span_of_the_zero_code(ring, n):
+    zero_row = (ring.zero,) * n
+    for rows in ([], [zero_row]):  # no generators, and a zero generator
+        code = LinearCode(ring, n, rows)
+        dual = brute_dual(code)
+        assert dual == reference_dual(code)
+        assert len(dual) == ring.size**n
+        assert brute_span(ring, rows) == reference_span(ring, rows)
