@@ -44,12 +44,12 @@ a byte ``(a << 4) | b`` per entry.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import getitem
 
 from . import _polys
 from ._ints import PRIME_TEST_BOUND, is_prime
+from ._record import record
 from .errors import SpecError
 from .fields import FqArith
 
@@ -80,7 +80,7 @@ def _check_invariants(family, p, r, s) -> None:
         raise SpecError("s must be >= 1")
 
 
-@dataclass(frozen=True)
+@record
 class ChainRingSpec:
     """Defining data of a concrete finite chain ring."""
 

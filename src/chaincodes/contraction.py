@@ -11,9 +11,9 @@ gamma = beta^(-omega) for beta the Teichmuller root of unity of order u.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from math import gcd
 
+from ._record import record
 from .chainring import RingElement
 from .cosets import CyclotomicPartition
 from .errors import SingletonViolation, SpecError
@@ -58,7 +58,7 @@ def concatenation_code(code: LinearCode, gamma: RingElement, u: int) -> LinearCo
     return out
 
 
-@dataclass(frozen=True)
+@record
 class ContractionResult:
     code: LinearCode  # the contracted gamma-constacyclic code
     gamma: RingElement

@@ -4,21 +4,21 @@ set operators, and (q, s)-cyclotomic partitions."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
 
 from ._ints import divisors, euler_phi, multiplicative_order, prime_power_base
+from ._record import record
 from .errors import SingletonViolation, SpecError
 
 
-@dataclass(frozen=True)
+@record
 class CosetUniverse:
-    """The ambient modulus ell together with the acting prime power q."""
+    """The ambient modulus ell together with the acting prime power q, and
+    m, the multiplicative order of q mod ell (derived, not a field)."""
 
     ell: int
     q: int
-    m: int = field(init=False)
 
     def __post_init__(self):
         if self.ell < 1:
@@ -39,7 +39,7 @@ class CosetUniverse:
         return CosetSet(self, frozenset())
 
 
-@dataclass(frozen=True)
+@record
 class CosetSet:
     """A subset of Sigma_ell, closed or not under multiplication by q."""
 

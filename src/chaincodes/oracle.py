@@ -9,17 +9,20 @@ sizes; exceeding one raises BudgetExceeded.
 
 brute_dual tabulates, once per call, the product of every ring element with
 every generator entry, and then walks R^n a coordinate at a time with one
-add per generator at each step.  Its tables are locals of the call, freed
-when it returns; the only process-lifetime memos here are the per-pair
-ones on adds and multiplies behind the codeword-set loops.
+add per generator at each step.  Given more rows than the composition
+length n*s of R^n, it first keeps only those that enlarge the span of the
+rows before them, so that each step costs at most n*s adds.  Its tables
+are locals of the call, freed when it returns; the only process-lifetime
+memos here are the per-pair ones on adds and multiplies behind the
+codeword-set loops.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 
+from ._record import record
 from .chainring import ChainRing
 from .errors import BudgetExceeded, SpecError
 from .modcodes import LinearCode, weight
@@ -28,7 +31,7 @@ MAX_VECTORS = 10**7
 MAX_CODEWORDS = 10**6
 
 
-@dataclass(frozen=True)
+@record
 class Budget:
     max_vectors: int = MAX_VECTORS
     max_codewords: int = MAX_CODEWORDS
@@ -84,16 +87,25 @@ def brute_span(ring: ChainRing, rows, budget: Budget = Budget()):
     cyclic modules R*g, added one row at a time."""
     if not rows:
         return frozenset()
+    return _span_fold(ring, rows, budget.check_codewords)[0]
+
+
+def _span_fold(ring: ChainRing, rows, check=None):
+    """The span of the (non-empty) rows, and the rows that each enlarge the
+    span of the rows before them: a generating set of the same module."""
     words = frozenset({(ring.zero,) * len(rows[0])})
+    kept = []
     for g in rows:
         if g in words:
             continue  # words is already a module containing g
+        kept.append(g)
         multiples = {
             tuple([_coord_mul(c, a) for a in g]) for c in ring.elements()
         }
         words = _module_sum(words, multiples)
-        budget.check_codewords(len(words))
-    return words
+        if check is not None:
+            check(len(words))
+    return words, kept
 
 
 def brute_codewords(code: LinearCode, budget: Budget = Budget()):
@@ -110,6 +122,13 @@ def brute_dual(code: LinearCode, budget: Budget = Budget()):
     the generators, carried along the prefix, all end at zero."""
     ring, n, gens = code.ring, code.length, code.generators
     budget.check_vectors(ring.size**n)
+    if len(gens) > n * ring.s:
+        # R^n has composition length n*s, so at most n*s rows each enlarge
+        # the span of the rows before them.  The others (a code listing all
+        # its codewords, say) leave the dual alone; dropping them keeps the
+        # walk's cost tied to the module rather than to the row count.  The
+        # span lies in R^n, which the vector budget has just admitted.
+        gens = _span_fold(ring, gens)[1]
     elems = ring.elements()
     # prods[i][k][j] = elems[k] * gens[j][i]
     prods = [

@@ -165,20 +165,40 @@ def test_dual_and_span_match_the_per_vector_references(data):
         st.integers(0, ring.size - 1),
         st.integers(0, ring.s),
     )
-    rows = data.draw(st.lists(st.tuples(*[entry] * n), max_size=3))
+    rows = data.draw(
+        st.one_of(
+            st.just([]),  # no generators: the zero code
+            st.just([(ring.zero,) * n]),  # a zero generator
+            st.lists(st.tuples(*[entry] * n), max_size=3),
+        )
+    )
     code = LinearCode(ring, n, rows)
     assert brute_dual(code) == reference_dual(code)
     assert brute_span(ring, rows) == reference_span(ring, rows)
 
 
-@pytest.mark.parametrize(
-    "ring,n", REFERENCE_RINGS, ids=[r.short_name() for r, _ in REFERENCE_RINGS]
-)
-def test_dual_and_span_of_the_zero_code(ring, n):
-    zero_row = (ring.zero,) * n
-    for rows in ([], [zero_row]):  # no generators, and a zero generator
-        code = LinearCode(ring, n, rows)
-        dual = brute_dual(code)
-        assert dual == reference_dual(code)
-        assert len(dual) == ring.size**n
-        assert brute_span(ring, rows) == reference_span(ring, rows)
+def test_brute_dual_of_codes_listing_every_codeword():
+    # Each code carries all its codewords as rows: up to 729 of them, far
+    # more than the composition length n*s = 6 of Z9^3.
+    codes = enumerate_cyclic_submodules(Z9, 3)
+    assert max(len(c.generators) for c in codes) == 9**3
+    for code in codes:
+        assert brute_dual(code) == reference_dual(code)
+
+
+def test_brute_dual_walk_cost_does_not_grow_with_the_rows(monkeypatch):
+    adds = []
+    coord_add = oracle._coord_add
+
+    def counting_add(a, b):
+        adds.append(1)
+        return coord_add(a, b)
+
+    monkeypatch.setattr(oracle, "_coord_add", counting_add)
+    n = 3
+    code = LinearCode(Z9, n, list(all_vectors(Z9, n)))  # the full code
+    assert len(brute_dual(code)) == 1
+    # One add per kept row at each node of the walk, and at most n*s rows
+    # are kept.
+    nodes = sum(9**d for d in range(1, n + 1))
+    assert len(adds) <= nodes * n * Z9.s
