@@ -7,7 +7,7 @@ trailing zeros).
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 
 from ._ints import factorize
 from .errors import SpecError
@@ -124,7 +124,7 @@ def is_irreducible_fp(h, p) -> bool:
     return frob == x
 
 
-@lru_cache(maxsize=128)
+@cache
 def smallest_irreducible(p: int, r: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree r over F_p,
     coefficients compared lowest degree first.  Degree 1 yields x itself.

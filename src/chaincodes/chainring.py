@@ -6,8 +6,10 @@ Two concrete families are provided, both realizing every pair (q, s):
   so q = p^r and theta = p.
 * ``EU``:  F_{p^r}[u]/(u^s), so q = p^r and theta = u.
 
-Elements are immutable and interned per ring: equal coordinates mean the
-same object.  The Teichmuller set Gamma(R), the q solutions of b^q = b, is
+Each spec has exactly one ring (``make_ring`` caches on the spec record),
+so rings compare by identity.  Elements are immutable and interned per
+ring through a ``_LazyTable`` keyed by coordinates: equal coordinates mean
+the same object.  The Teichmuller set Gamma(R), the q solutions of b^q = b, is
 the image of the closed-form lift a -> a^(q^(s-1)), and theta-adic digits
 are taken in it.  Coordinates are lowest-degree-first integer coefficients in
 the canonical polynomial basis; integers live in [0, p^s) for ``GR`` and in
@@ -44,7 +46,7 @@ a byte ``(a << 4) | b`` per entry.
 from __future__ import annotations
 
 import json
-from functools import cached_property, lru_cache
+from functools import cache, cached_property
 from operator import getitem
 
 from . import _polys
@@ -226,7 +228,7 @@ class ChainRing:
             width = self.s
         self._width = width
         self._base = self._pm if self.family == GALOIS_RING else self.q
-        self._cache: dict[tuple[int, ...], RingElement] = {}
+        self._interned = _LazyTable(self._new_element)
         self.zero = self.make((0,) * width)
         self.one = self.make((1,) + (0,) * (width - 1))
         if self.family == GALOIS_RING:
@@ -236,9 +238,6 @@ class ChainRing:
         else:
             theta = (0, 1) + (0,) * (width - 2)
         self.theta = self.make(theta)
-        self._teich = None
-        self._elements = None
-        self._residue_ring = None
         self.has_tables = self.size <= TABLE_CAP
         self._pairs = self.size <= PAIR_CAP
         if self.has_tables:
@@ -341,24 +340,6 @@ class ChainRing:
             groups.append((None if count == 1 else code, fold))
         return tuple(groups)
 
-    # -- identity ---------------------------------------------------------
-
-    @property
-    def key(self):
-        return (
-            self.spec.family,
-            self.spec.p,
-            self.spec.r,
-            self.spec.s,
-            self.spec.modulus,
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, ChainRing) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
-
     def short_name(self) -> str:
         return f"{self.family}(p={self.p},r={self.r},s={self.s})"
 
@@ -368,18 +349,19 @@ class ChainRing:
     # -- element construction --------------------------------------------
 
     def make(self, coords: tuple[int, ...]) -> RingElement:
-        elem = self._cache.get(coords)
-        if elem is None:
-            index = 0
-            for c in reversed(coords):
-                index = index * self._base + c
-            elem = RingElement(self, coords, index)
-            self._cache[coords] = elem
-        return elem
+        return self._interned[coords]
+
+    def _new_element(self, coords: tuple[int, ...]) -> RingElement:
+        index = 0
+        for c in reversed(coords):
+            index = index * self._base + c
+        return RingElement(self, coords, index)
 
     def element(self, coords) -> RingElement:
         """Validating public constructor from a coordinate sequence."""
-        coords = tuple(int(c) for c in coords)
+        coords = tuple(coords)
+        if not all(map(_is_int, coords)):
+            raise SpecError(f"coordinates must be integers, got {list(coords)!r}")
         if len(coords) != self._width:
             raise SpecError(
                 f"expected {self._width} coordinates, got {len(coords)}"
@@ -401,11 +383,11 @@ class ChainRing:
 
     def elements(self):
         """All ring elements in the deterministic canonical order."""
-        if self._elements is None:
-            self._elements = tuple(
-                self.element_at(i) for i in range(self.size)
-            )
         return self._elements
+
+    @cached_property
+    def _elements(self) -> tuple[RingElement, ...]:
+        return tuple(self.element_at(i) for i in range(self.size))
 
     # -- arithmetic -------------------------------------------------------
 
@@ -621,11 +603,13 @@ class ChainRing:
 
     def residue_ring(self) -> "ChainRing":
         """F_q presented as the chain ring F_{p^r}[u]/(u)."""
-        if self._residue_ring is None:
-            self._residue_ring = make_ring(
-                ChainRingSpec(EU_POWER_SERIES, self.p, self.r, 1, self.spec.modulus)
-            )
         return self._residue_ring
+
+    @cached_property
+    def _residue_ring(self) -> "ChainRing":
+        return make_ring(
+            ChainRingSpec(EU_POWER_SERIES, self.p, self.r, 1, self.spec.modulus)
+        )
 
     def residue_element(self, a: RingElement) -> RingElement:
         return self.residue_ring().make((self.residue(a),))
@@ -684,11 +668,11 @@ class ChainRing:
 
     def teichmuller_set(self) -> tuple[RingElement, ...]:
         """The q solutions of b^q = b, ordered by residue 0..q-1."""
-        if self._teich is None:
-            self._teich = tuple(
-                self.teichmuller(self.lift(c)) for c in range(self.q)
-            )
         return self._teich
+
+    @cached_property
+    def _teich(self) -> tuple[RingElement, ...]:
+        return tuple(self.teichmuller(self.lift(c)) for c in range(self.q))
 
     def theta_adic_expansion(self, a: RingElement) -> tuple[RingElement, ...]:
         """The unique digits (a_0, ..., a_{s-1}) in the Teichmuller set with
@@ -755,20 +739,17 @@ class ChainRing:
         return out
 
 
-@lru_cache(maxsize=None)
-def _ring_for_key(key) -> ChainRing:
-    family, p, r, s, modulus = key
-    return ChainRing(ChainRingSpec(family, p, r, s, modulus))
-
-
 def make_ring(spec: ChainRingSpec | dict | str) -> ChainRing:
-    """Construct (or fetch the cached copy of) the ring for a spec.
+    """The one ring of a spec, built on first request.
 
     A JSON spec is validated when parsed and any spec when its ring is
     first built; a cached ring is returned without checking again."""
     if not isinstance(spec, ChainRingSpec):
         spec = ChainRingSpec.from_json(spec)
-    return _ring_for_key((spec.family, spec.p, spec.r, spec.s, spec.modulus))
+    return _ring_of(spec)
+
+
+_ring_of = cache(ChainRing)
 
 
 def ring_spec(family: str, p: int, r: int, s: int, modulus=None) -> ChainRingSpec:

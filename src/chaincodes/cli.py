@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import oracle
-from .chainring import ChainRingSpec, make_ring
+from .chainring import ChainRingSpec, _is_int, make_ring
 from .contraction import concatenation_code, contract_code, contract_dual
 from .cosets import (
     CosetUniverse,
@@ -21,7 +21,7 @@ from .cosets import (
     cosets,
     representatives,
 )
-from .errors import BudgetExceeded, ChainCodesError
+from .errors import BudgetExceeded, ChainCodesError, SpecError
 from .modcodes import LinearCode, is_constacyclic
 from .tracecodes import (
     code_from_partition,
@@ -70,11 +70,13 @@ def load_code(doc) -> LinearCode:
         raise ChainCodesError("code document must be a JSON object")
     try:
         ring = make_ring(ChainRingSpec.from_json(doc["ring"]))
-        length = int(doc["length"])
+        length = doc["length"]
         gens = doc["generators"]
         rows = [[ring.element(coords) for coords in row] for row in gens]
     except (KeyError, TypeError, ValueError) as exc:
         raise ChainCodesError(f"malformed code document: {exc}") from exc
+    if not _is_int(length):
+        raise SpecError(f"code length must be an integer, got {length!r}")
     return LinearCode(ring, length, rows)
 
 

@@ -4,11 +4,12 @@ set operators, and (q, s)-cyclotomic partitions."""
 from __future__ import annotations
 
 import json
-from functools import lru_cache
+from functools import cache
 from math import gcd
 
 from ._ints import divisors, euler_phi, multiplicative_order, prime_power_base
 from ._record import record
+from .chainring import _is_int
 from .errors import SingletonViolation, SpecError
 
 
@@ -132,23 +133,18 @@ def coset(universe: CosetUniverse, z: int) -> CosetSet:
     return universe.subset([z]).closure()
 
 
-@lru_cache(maxsize=None)
-def _cosets_cached(ell, q):
-    universe = CosetUniverse(ell, q)
+@cache
+def cosets(universe: CosetUniverse) -> tuple[CosetSet, ...]:
+    """All q-cyclotomic cosets, ordered by minimum element."""
     seen: set[int] = set()
     out = []
-    for z in range(ell):
+    for z in range(universe.ell):
         if z in seen:
             continue
         c = coset(universe, z)
         seen |= c.members
         out.append(c)
     return tuple(out)
-
-
-def cosets(universe: CosetUniverse) -> tuple[CosetSet, ...]:
-    """All q-cyclotomic cosets, ordered by minimum element."""
-    return _cosets_cached(universe.ell, universe.q)
 
 
 def representatives(universe: CosetUniverse) -> list[int]:
@@ -269,7 +265,11 @@ class CyclotomicPartition:
     def from_json(universe: CosetUniverse, s: int, doc) -> "CyclotomicPartition":
         if isinstance(doc, str):
             doc = json.loads(doc)
-        assignment = {int(k): int(v) for k, v in doc.items()}
+        if not isinstance(doc, dict):
+            raise SpecError("partition document must be a JSON object")
+        if not all(map(_is_int, doc.values())):
+            raise SpecError("partition levels must be integers")
+        assignment = {int(k): v for k, v in doc.items()}
         return make_partition(universe, s, assignment)
 
 

@@ -12,13 +12,14 @@ sigma-orbit.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache, cached_property
 
 from ._ints import factorize
 from .chainring import (
     GALOIS_RING,
     ChainRing,
     RingElement,
+    _LazyTable,
     make_ring,
     ring_spec,
 )
@@ -44,14 +45,11 @@ class GaloisExtension:
                 ring_spec(base.family, base.p, base.r * m, base.s)
             )
         self._embed_powers = self._compute_embedding()
-        self._unembed: dict[tuple[int, ...], RingElement] | None = None
         self.xi = self._compute_xi()
-        self._xi_pows = {0: self.top.one, 1 % self.order: self.xi}
-        self._xi_low = None  # baby steps xi^i, i < block
-        self._xi_high = None  # giant steps xi^(block*j)
-        self._trace_cache: dict[tuple[int, ...], RingElement] = {}
-        self._trace_xi_cache: dict[int, RingElement] = {}
-        self._gram_inv = None
+        self._xi_pows = _LazyTable(self._xi_power)  # keyed by e mod order
+        self._xi_pows.update({0: self.top.one, 1 % self.order: self.xi})
+        self._traces = _LazyTable(self._trace)  # keyed by element
+        self._trace_xi_pows = _LazyTable(self._trace_xi_power)
 
     # -- embedding --------------------------------------------------------
 
@@ -93,19 +91,16 @@ class GaloisExtension:
             out = out + top.int_mul(c, power)
         return out
 
-    def _unembed_table(self):
-        if self._unembed is None:
-            self._unembed = {
-                self.embed(a).coords: a for a in self.base.elements()
-            }
-        return self._unembed
+    @cached_property
+    def _unembed(self) -> dict[tuple[int, ...], RingElement]:
+        return {self.embed(a).coords: a for a in self.base.elements()}
 
     def in_base(self, b: RingElement) -> bool:
-        return b.coords in self._unembed_table()
+        return b.coords in self._unembed
 
     def unembed(self, b: RingElement) -> RingElement:
         try:
-            return self._unembed_table()[b.coords]
+            return self._unembed[b.coords]
         except KeyError:
             raise SpecError("element does not lie in the embedded base ring")
 
@@ -118,26 +113,26 @@ class GaloisExtension:
 
     def xi_pow(self, e: int) -> RingElement:
         """xi^e (e mod q^m - 1), one multiplication per uncached exponent."""
-        e %= self.order
-        cached = self._xi_pows.get(e)
-        if cached is not None:
-            return cached
-        if self._xi_low is None:
-            top = self.top
-            block = min(self.order, 1024)
-            low = [top.one]
-            while len(low) < block:
-                low.append(top._mul(low[-1], self.xi))
-            giant = top._mul(low[-1], self.xi)
-            high = [top.one]
-            while len(high) <= self.order // block:
-                high.append(top._mul(high[-1], giant))
-            self._xi_low = low
-            self._xi_high = high
-        block = len(self._xi_low)
-        out = self.top._mul(self._xi_high[e // block], self._xi_low[e % block])
-        self._xi_pows[e] = out
-        return out
+        return self._xi_pows[e % self.order]
+
+    def _xi_power(self, e: int) -> RingElement:
+        low, high = self._xi_steps
+        block = len(low)
+        return self.top._mul(high[e // block], low[e % block])
+
+    @cached_property
+    def _xi_steps(self) -> tuple[list[RingElement], list[RingElement]]:
+        """Baby steps xi^i for i < block and giant steps xi^(block*j)."""
+        top = self.top
+        block = min(self.order, 1024)
+        low = [top.one]
+        while len(low) < block:
+            low.append(top._mul(low[-1], self.xi))
+        giant = top._mul(low[-1], self.xi)
+        high = [top.one]
+        while len(high) <= self.order // block:
+            high.append(top._mul(high[-1], giant))
+        return low, high
 
     def root_of_unity(self, ell: int) -> RingElement:
         """A Teichmuller element of multiplicative order exactly ell."""
@@ -167,32 +162,26 @@ class GaloisExtension:
 
     def trace(self, a: RingElement) -> RingElement:
         """Tr(a) = sum of the sigma-orbit, returned as a base-ring element."""
-        cached = self._trace_cache.get(a.coords)
-        if cached is not None:
-            return cached
-        top = self.top
+        return self._traces[a]
+
+    def _trace(self, a: RingElement) -> RingElement:
         acc = a
         cur = a
         for _ in range(self.m - 1):
             cur = self.frobenius(cur)
             acc = acc + cur
-        out = self.unembed(acc)
-        self._trace_cache[a.coords] = out
-        return out
+        return self.unembed(acc)
 
     def trace_xi_pow(self, e: int) -> RingElement:
         """Tr(xi^e), computed through the exponent orbit e, eq, eq^2, ..."""
-        e %= self.order
-        cached = self._trace_xi_cache.get(e)
-        if cached is None:
-            acc = self.top.zero
-            cur = e
-            for _ in range(self.m):
-                acc = acc + self.xi_pow(cur)
-                cur = (cur * self.q) % self.order
-            cached = self.unembed(acc)
-            self._trace_xi_cache[e] = cached
-        return cached
+        return self._trace_xi_pows[e % self.order]
+
+    def _trace_xi_power(self, e: int) -> RingElement:
+        acc = self.top.zero
+        for _ in range(self.m):
+            acc = acc + self.xi_pow(e)
+            e = (e * self.q) % self.order
+        return self.unembed(acc)
 
     # -- coordinates in the xi-power basis -------------------------------
 
@@ -200,14 +189,17 @@ class GaloisExtension:
         """The unique (a_0, ..., a_{m-1}) over R with a = sum embed(a_i) xi^i."""
         if self.m == 1:
             return (self.unembed(a),)
-        if self._gram_inv is None:
-            gram = [
-                [self.trace_xi_pow(i + j) for j in range(self.m)]
-                for i in range(self.m)
-            ]
-            self._gram_inv = _invert_unit_matrix(self.base, gram)
         rhs = [self.trace(self.top._mul(a, self.xi_pow(j))) for j in range(self.m)]
         return tuple([vdot(row, rhs) for row in self._gram_inv])
+
+    @cached_property
+    def _gram_inv(self):
+        """The inverse of the Gram matrix (Tr(xi^(i+j)))_{i,j < m}."""
+        gram = [
+            [self.trace_xi_pow(i + j) for j in range(self.m)]
+            for i in range(self.m)
+        ]
+        return _invert_unit_matrix(self.base, gram)
 
 
 def _invert_unit_matrix(ring: ChainRing, mat):
@@ -225,16 +217,10 @@ def _invert_unit_matrix(ring: ChainRing, mat):
     return [row[m:] for row in code.sf_rows]
 
 
-@lru_cache(maxsize=None)
-def _extend_cached(base_key, m):
-    from .chainring import _ring_for_key
-
-    return GaloisExtension(_ring_for_key(base_key), m)
-
-
+@cache
 def extend(base: ChainRing, m: int) -> GaloisExtension:
     """The Galois extension of degree m over the base ring (cached)."""
-    return _extend_cached(base.key, m)
+    return GaloisExtension(base, m)
 
 
 def teichmuller_generator(ext: GaloisExtension) -> RingElement:

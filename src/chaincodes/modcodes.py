@@ -191,17 +191,8 @@ class LinearCode:
             ]
             for _, val in self.pivots
         ]
-
-        def rec(i, partial):
-            if i == len(self._sf):
-                yield ring.decode_row(partial)
-                return
-            row = self._sf[i]
-            for c in choices[i]:
-                word = ring.row_axpy(partial, c, row) if c else partial
-                yield from rec(i + 1, word)
-
-        yield from rec(0, ring.encode_row((ring.zero,) * self.length))
+        zero = ring.encode_row((ring.zero,) * self.length)
+        yield from _combinations(ring, self._sf, choices, 0, zero)
 
     def min_weight(self, max_codewords: int | None = DEFAULT_CODEWORD_BUDGET):
         """Exact minimum Hamming weight by codeword enumeration."""
@@ -291,6 +282,20 @@ class LinearCode:
                 [a.to_json() for a in row] for row in self.sf_rows
             ],
         }
+
+
+def _combinations(ring: ChainRing, rows, choices, i, partial):
+    """Decode partial + sum c_j*rows[j] over j >= i, for every pick of an
+    encoded -c_j from each choices[j], the last row varying fastest.  (A
+    module-level generator: a recursive closure would be a reference cycle
+    that kept its code alive until the cyclic collector ran.)"""
+    if i == len(rows):
+        yield ring.decode_row(partial)
+        return
+    row = rows[i]
+    for c in choices[i]:
+        word = ring.row_axpy(partial, c, row) if c else partial
+        yield from _combinations(ring, rows, choices, i + 1, word)
 
 
 def zero_code(ring: ChainRing, n: int) -> LinearCode:

@@ -20,7 +20,7 @@ codeword-set loops.
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
 
 from ._record import record
 from .chainring import ChainRing
@@ -70,16 +70,7 @@ def _coord_vadd(u, v):
 def all_vectors(ring: ChainRing, n: int, budget: Budget = Budget()):
     """Every vector of R^n, in the canonical element order."""
     budget.check_vectors(ring.size**n)
-
-    def rec(i):
-        if i == 0:
-            yield ()
-            return
-        for prefix in rec(i - 1):
-            for a in ring.elements():
-                yield prefix + (a,)
-
-    yield from rec(n)
+    yield from product(ring.elements(), repeat=n)
 
 
 def brute_span(ring: ChainRing, rows, budget: Budget = Budget()):

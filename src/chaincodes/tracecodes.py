@@ -9,11 +9,11 @@ form a (q, s)-cyclotomic partition of {0, ..., ell-1}.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache, partial
 from itertools import product
 from math import gcd
 
-from .chainring import ChainRing, RingElement
+from .chainring import ChainRing, RingElement, _LazyTable
 from .cosets import (
     CosetSet,
     CosetUniverse,
@@ -44,59 +44,46 @@ class EvalContext:
         self.ext = extend(ring, self.m)
         self.w = (ring.q**self.m - 1) // ell
         self.eta = self.ext.xi_pow(self.w)
-        self._trace_memo: dict[int, LinearCode] = {}  # one entry per coset
+        # The trace-row code of each coset, keyed by its least member.
+        self.coset_codes = _LazyTable(partial(_trace_rows, self))
 
     def eta_pow(self, e: int) -> RingElement:
         return self.ext.xi_pow(self.w * (e % self.ell))
 
 
-@lru_cache(maxsize=None)
-def _context_cached(ring_key, ell):
-    from .chainring import _ring_for_key
-
-    return EvalContext(_ring_for_key(ring_key), ell)
-
-
+@cache
 def context(ring: ChainRing, ell: int) -> EvalContext:
-    return _context_cached(ring.key, ell)
+    return EvalContext(ring, ell)
 
 
 def _trace_rows(ctx: EvalContext, rep: int) -> LinearCode:
     """The irreducible cyclic code of the coset [rep], spanned by the rows
-    (Tr(xi^k eta^(rep*j)))_j for k < m and kept per context; its standard
-    form has one row per coset member."""
-    code = ctx._trace_memo.get(rep)
-    if code is None:
-        ext, w, ell = ctx.ext, ctx.w, ctx.ell
-        traces = [
-            [ext.trace_xi_pow(k + w * rep * j) for j in range(ell)]
-            for k in range(ext.m)
-        ]
-        code = ctx._trace_memo[rep] = LinearCode(ctx.ring, ell, traces)
-    return code
+    (Tr(xi^k eta^(rep*j)))_j for k < m; its standard form has one row per
+    coset member."""
+    ext, w, ell = ctx.ext, ctx.w, ctx.ell
+    traces = [
+        [ext.trace_xi_pow(k + w * rep * j) for j in range(ell)]
+        for k in range(ext.m)
+    ]
+    return LinearCode(ctx.ring, ell, traces)
 
 
 def irreducible_cyclic_code(ctx: EvalContext, z: int) -> LinearCode:
     """The minimal cyclic code whose nonzero exponents are the coset [z]."""
     rep = min(coset(ctx.universe, z).members)
-    return LinearCode(ctx.ring, ctx.ell, _trace_rows(ctx, rep)._sf)
+    return LinearCode(ctx.ring, ctx.ell, ctx.coset_codes[rep]._sf)
 
 
 def trace_eval_code(ctx: EvalContext, exponents: CosetSet) -> LinearCode:
     """The free cyclic code of rank |closure(A)| supported on the q-closure
-    of the exponent set A."""
+    of the exponent set A: the code of the partition with closure(A) at
+    level 0 and everything else at level s."""
     if exponents.universe != ctx.universe:
         raise SpecError("exponent set universe mismatch")
-    exponents = exponents.closure()
-    rows = []
-    seen = set()
-    for z in exponents:
-        rep = min(coset(ctx.universe, z).members)
-        if rep in seen:
-            continue
-        seen.add(rep)
-        rows.extend(_trace_rows(ctx, rep)._sf)
-    return LinearCode(ctx.ring, ctx.ell, rows)
+    free = exponents.closure()
+    empty = [ctx.universe.empty()] * (ctx.ring.s - 1)
+    blocks = [free, *empty, free.complement()]
+    return code_from_partition(ctx, CyclotomicPartition(ctx.universe, blocks))
 
 
 def lrs_code(ctx: EvalContext, exponents: CosetSet) -> LinearCode:
@@ -147,7 +134,7 @@ def code_from_partition(
             if rep in seen:
                 continue
             seen.add(rep)
-            for g in _trace_rows(ctx, rep)._sf:
+            for g in ctx.coset_codes[rep]._sf:
                 rows.append(ring.row_scale(scale, g))
     return LinearCode(ring, ctx.ell, rows)
 
@@ -184,7 +171,7 @@ def decompose_cyclic(code: LinearCode) -> CyclotomicPartition:
     size = 1
     for orbit in cosets(ctx.universe):
         opposite = min((-z) % ell for z in orbit.members)
-        hs = _trace_rows(ctx, opposite)._sf
+        hs = ctx.coset_codes[opposite]._sf
         level = s
         for g in code._sf:
             for d in ring.row_dots(g, hs):

@@ -1,9 +1,13 @@
 """Tests for the command-line interface."""
 
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaincodes.cli import main
 
@@ -285,3 +289,149 @@ def test_cosets_large_prime_q(capsys):
     code, out, _ = run(capsys, "cosets", "--ell", "4", "--q", "1000000000000000003")
     assert time.perf_counter() - start < 1.0
     assert code == 0 and "count: 3" in out
+
+
+# -- code and partition documents through main --------------------------
+
+DOC_RINGS = {
+    "Z9": {"family": "GR", "p": 3, "r": 1, "s": 2},
+    "F3[u]/(u^2)": {"family": "EU", "p": 3, "r": 1, "s": 2},
+}
+NON_INTS = st.none() | st.booleans() | st.floats() | st.text(max_size=3) | st.just([])
+
+
+def run_quietly(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def doc_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("docs") / "doc.json"
+
+    def write(doc):
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    return write
+
+
+def width(spec):
+    return 1 if spec["family"] == "GR" else spec["s"]
+
+
+@st.composite
+def code_docs(draw):
+    """Well-formed code documents of length <= 4 over Z9 or F3[u]/(u^2)."""
+    spec = DOC_RINGS[draw(st.sampled_from(sorted(DOC_RINGS)))]
+    n = draw(st.integers(1, 4))
+    coords = st.lists(st.integers(0, 8), min_size=width(spec), max_size=width(spec))
+    rows = draw(st.lists(st.lists(coords, min_size=n, max_size=n), max_size=3))
+    return {"ring": spec, "length": n, "generators": rows}
+
+
+@st.composite
+def broken_code_docs(draw):
+    """Code documents with one defect each."""
+    doc = draw(code_docs())
+    n, zero = doc["length"], [0] * width(doc["ring"])
+    defect = draw(st.sampled_from(
+        ["not an object", "missing key", "length", "row length", "coordinate", "ring"]
+    ))
+    if defect == "not an object":
+        return draw(st.lists(st.integers(), max_size=2) | NON_INTS)
+    if defect == "missing key":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif defect == "length":
+        doc["length"] = draw(NON_INTS | st.integers(-3, 0))
+    elif defect == "row length":
+        doc["generators"].append([zero] * draw(st.sampled_from([n - 1, n + 1])))
+    elif defect == "coordinate":
+        doc["generators"].append([[draw(NON_INTS)] + zero[1:]] + [zero] * (n - 1))
+    else:
+        doc["ring"] = draw(NON_INTS | st.just({"family": "GR", "p": 4, "r": 1, "s": 2}))
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=broken_code_docs(), command=st.sampled_from(["dual", "analyze"]))
+def test_broken_code_documents_exit_3(doc_file, doc, command):
+    code, out, err = run_quietly(command, "--code", doc_file(doc))
+    assert code == 3 and err.startswith("error:") and not out, (code, out, err)
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=code_docs())
+def test_code_documents_round_trip(doc_file, doc):
+    from chaincodes.cli import load_code
+
+    code = load_code(doc)
+    status, out, _ = run_quietly("dual", "--code", doc_file(doc), "--json")
+    assert status == 0
+    dual = json.loads(out)
+    assert dual == code.dual().to_json()
+    status, out, _ = run_quietly("dual", "--code", doc_file(dual), "--json")
+    assert status == 0
+    assert load_code(json.loads(out)).same_code(code)
+    status, out, _ = run_quietly("analyze", "--code", doc_file(doc), "--json")
+    assert status == 0
+    report = json.loads(out)
+    assert report["type"] == list(code.type)
+    assert report["cardinality"] == code.cardinality
+
+
+@st.composite
+def partition_docs(draw):
+    """(ring, ell, assignment) with ell <= 4 coprime to 3."""
+    name = draw(st.sampled_from(sorted(DOC_RINGS)))
+    ell = draw(st.sampled_from([1, 2, 4]))
+    reps = {1: [0], 2: [0, 1], 4: [0, 1, 2]}[ell]
+    levels = st.integers(0, DOC_RINGS[name]["s"])
+    return name, ell, {str(z): draw(levels) for z in reps}
+
+
+@st.composite
+def broken_partition_docs(draw):
+    name, ell, doc = draw(partition_docs())
+    key = draw(st.sampled_from(sorted(doc)))
+    defect = draw(
+        st.sampled_from(["not an object", "level", "range", "missing", "extra"])
+    )
+    if defect == "not an object":
+        doc = draw(st.lists(st.integers(0, 2), max_size=3) | NON_INTS)
+    elif defect == "level":
+        doc[key] = draw(NON_INTS)
+    elif defect == "range":
+        doc[key] = draw(st.sampled_from([-1, 3, 10]))
+    elif defect == "missing":
+        del doc[key]
+    else:
+        doc[draw(st.sampled_from(["3", "7", "x", "-1"]))] = 0
+    return name, ell, doc
+
+
+def build_partition(doc_file, name, ell, doc):
+    return run_quietly(
+        "build", "partition", "--ring", json.dumps(DOC_RINGS[name]),
+        "--ell", str(ell), "--file", doc_file(doc), "--json",
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=broken_partition_docs())
+def test_broken_partition_documents_exit_3(doc_file, case):
+    code, out, err = build_partition(doc_file, *case)
+    assert code == 3 and err.startswith("error:") and not out, (code, out, err)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=partition_docs())
+def test_partition_documents_round_trip(doc_file, case):
+    from chaincodes import decompose_cyclic
+    from chaincodes.cli import load_code
+
+    code, out, _ = build_partition(doc_file, *case)
+    assert code == 0
+    assert decompose_cyclic(load_code(json.loads(out))).to_json() == case[2]

@@ -1,6 +1,8 @@
 """Tests for linear codes: standard form, duality, membership, weights."""
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -126,6 +128,20 @@ def test_min_weight():
     assert z9_code([[1, 1], [0, 3]]).min_weight() == 1
     with pytest.raises(SpecError):
         zero_code(Z9, 2).min_weight()
+
+
+def test_enumeration_leaves_no_reference_cycle():
+    # Without the cyclic collector, a code is freed as soon as its last
+    # reference goes: enumerating its codewords leaves no cycle behind.
+    code = z9_code([[1, 1, 1], [0, 3, 6]])
+    ref = weakref.ref(code)
+    gc.disable()
+    try:
+        assert code.min_weight() == 2
+        del code
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_sum_and_intersection():
