@@ -9,10 +9,11 @@ Two concrete families are provided, both realizing every pair (q, s):
 Each spec has exactly one ring (``make_ring`` caches on the spec record),
 so rings compare by identity.  Elements are immutable and interned per
 ring through a ``_LazyTable`` keyed by coordinates: equal coordinates mean
-the same object.  The Teichmuller set Gamma(R), the q solutions of b^q = b, is
-the image of the closed-form lift a -> a^(q^(s-1)), and theta-adic digits
-are taken in it.  Coordinates are lowest-degree-first integer coefficients in
-the canonical polynomial basis; integers live in [0, p^s) for ``GR`` and in
+the same object, so elements compare and hash by identity.  The
+Teichmuller set Gamma(R), the q solutions of b^q = b, is the image of the
+closed-form lift a -> a^(q^(s-1)), and theta-adic digits are taken in it.
+Coordinates are lowest-degree-first integer coefficients in the canonical
+polynomial basis; integers live in [0, p^s) for ``GR`` and in
 [0, p^r) (residue-field encoding) per u-power for ``EU``.  Each element also
 carries a dense ``index``: its position in ``ring.elements()`` (the
 ``element_at`` order, the coordinates read as base-``p^s`` or base-``q``
@@ -158,23 +159,12 @@ def _translation(entries) -> bytes:
 class RingElement:
     """An element of a ChainRing in canonical coordinates."""
 
-    __slots__ = ("ring", "coords", "index", "_hash")
+    __slots__ = ("ring", "coords", "index")
 
     def __init__(self, ring: "ChainRing", coords: tuple[int, ...], index: int):
         self.ring = ring
         self.coords = coords
         self.index = index
-        self._hash = hash(coords)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RingElement)
-            and self.index == other.index
-            and self.ring is other.ring
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def __add__(self, other):
         return self.ring._add(self, other)

@@ -201,6 +201,11 @@ def cmd_analyze(args) -> int:
 
 def cmd_dual(args) -> int:
     code = load_code(_load_json_file(args.code))
+    if code.length**2 > oracle.MAX_CODEWORDS:
+        raise BudgetExceeded(
+            f"the dual of a length-{code.length} code has {code.length}^2 "
+            f"entries, over budget {oracle.MAX_CODEWORDS}"
+        )
     dual = code.dual()
     _emit(args, dual.to_json(), _code_summary(dual))
     return EXIT_OK

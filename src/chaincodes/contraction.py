@@ -16,7 +16,7 @@ from math import gcd
 from ._record import record
 from .chainring import RingElement
 from .cosets import CyclotomicPartition
-from .errors import SingletonViolation, SpecError
+from .errors import SpecError
 from .modcodes import LinearCode, is_constacyclic, zero_code
 from .tracecodes import code_from_partition, context, decompose_cyclic
 
@@ -78,18 +78,9 @@ def contract_code(code: LinearCode, u: int) -> ContractionResult:
         raise SpecError(f"u = {u} must divide the length {code.length}")
     n = code.length // u
     partition = decompose_cyclic(code)
-    info = set()
-    for block in partition.blocks[: ring.s]:
-        info |= block.members
-    if not info:
+    omega = partition.info_residue(u)
+    if omega is None:
         return ContractionResult(zero_code(ring, n), ring.one, 0, partition)
-    residues = {z % u for z in info}
-    if len(residues) > 1:
-        raise SingletonViolation(
-            f"information exponents meet several residue classes mod {u}: "
-            f"{sorted(residues)}"
-        )
-    omega = residues.pop()
     if u > 1 and gcd(omega, u) > 1:
         warnings.warn(
             f"gcd(omega, u) = {gcd(omega, u)} > 1: gamma has order "

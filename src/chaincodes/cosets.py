@@ -1,5 +1,9 @@
 """Combinatorics on Sigma_ell = {0, ..., ell-1}: q-cyclotomic cosets,
-set operators, and (q, s)-cyclotomic partitions."""
+set operators, and (q, s)-cyclotomic partitions.
+
+Universes, coset sets and partitions are frozen records.  A partition's
+``info_residue(u)`` is the one place that derives omega, the class mod u of
+its information exponents, which contraction needs."""
 
 from __future__ import annotations
 
@@ -165,37 +169,32 @@ def class_count_formula(universe: CosetUniverse) -> int:
     return total
 
 
+@record
 class CyclotomicPartition:
-    """An (s+1)-tuple of disjoint q-closed sets covering Sigma_ell."""
+    """An (s+1)-tuple of disjoint q-closed sets covering Sigma_ell: a
+    record over ``universe`` and ``blocks`` (normalised to a tuple), with s,
+    the number of blocks less one, derived."""
 
-    def __init__(self, universe: CosetUniverse, blocks):
-        blocks = tuple(blocks)
+    universe: CosetUniverse
+    blocks: tuple[CosetSet, ...]
+
+    def __post_init__(self):
+        blocks = tuple(self.blocks)
         if len(blocks) < 2:
             raise SpecError("a partition needs at least two blocks (s >= 1)")
         covered: set[int] = set()
         for b in blocks:
-            if b.universe != universe:
+            if b.universe != self.universe:
                 raise SpecError("partition blocks must share the universe")
             if covered & b.members:
                 raise SpecError("partition blocks overlap")
             if not b.is_q_closed():
                 raise SpecError("partition blocks must be q-closed")
             covered |= b.members
-        if covered != set(range(universe.ell)):
+        if covered != set(range(self.universe.ell)):
             raise SpecError("partition blocks must cover Sigma_ell")
-        self.universe = universe
-        self.blocks = blocks
-        self.s = len(blocks) - 1
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CyclotomicPartition)
-            and self.universe == other.universe
-            and self.blocks == other.blocks
-        )
-
-    def __hash__(self):
-        return hash((self.universe, self.blocks))
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "s", len(blocks) - 1)
 
     def __repr__(self):
         return f"CyclotomicPartition({[b.sorted() for b in self.blocks]})"
@@ -212,30 +211,31 @@ class CyclotomicPartition:
             self.universe, [b.opposite() for b in reversed(self.blocks)]
         )
 
+    def info_residue(self, u: int) -> int | None:
+        """The single class omega mod u of the information exponents (those
+        below level s), None if there are none; SingletonViolation if they
+        meet several classes, when a code of length u*n does not contract."""
+        residues = frozenset().union(
+            *(b.mod_u_image(u) for b in self.blocks[: self.s])
+        )
+        if len(residues) > 1:
+            raise SingletonViolation(
+                f"information exponents meet several residue classes mod {u}: "
+                f"{sorted(residues)}"
+            )
+        return min(residues, default=None)
+
     def star_dual(self, u: int, omega: int | None = None) -> "CyclotomicPartition":
         """The partition of the dual code of a contractible code.
 
-        Requires every nonempty information block (levels < s) to sit in a
-        single residue class omega mod u.  With all information blocks empty
+        Requires the information exponents to sit in a single residue class
+        omega mod u (``info_residue``).  With all information blocks empty
         the map degenerates to the full-code partition.
         """
-        info = frozenset().union(
-            *(b.members for b in self.blocks[: self.s])
-        )
-        if not info:
-            # Zero code: its dual is everything.
-            full = self.universe.full()
-            empty = self.universe.empty()
-            return CyclotomicPartition(
-                self.universe, [full] + [empty] * self.s
-            )
-        residues = {z % u for z in info}
-        if len(residues) > 1:
-            raise SingletonViolation(
-                f"information blocks meet several residue classes mod {u}: "
-                f"{sorted(residues)}"
-            )
-        derived = residues.pop()
+        derived = self.info_residue(u)
+        if derived is None:  # the zero code: its dual is everything
+            blocks = [self.universe.full()] + [self.universe.empty()] * self.s
+            return CyclotomicPartition(self.universe, blocks)
         if omega is None:
             omega = derived
         elif omega % u != derived:
@@ -249,11 +249,10 @@ class CyclotomicPartition:
             frozenset(z for z in a_s.members if z % u == target),
         )
         a_0_tri = self.blocks[0].union(a_s.difference(a_s_star))
-        new_blocks = [a_s_star.opposite()]
-        for t in range(self.s - 1, 0, -1):
-            new_blocks.append(self.blocks[t].opposite())
-        new_blocks.append(a_0_tri.opposite())
-        return CyclotomicPartition(self.universe, new_blocks)
+        new_blocks = [a_s_star, *self.blocks[self.s - 1 : 0 : -1], a_0_tri]
+        return CyclotomicPartition(
+            self.universe, [b.opposite() for b in new_blocks]
+        )
 
     def to_assignment(self) -> dict[int, int]:
         return {z: self.level_of(z) for z in representatives(self.universe)}
@@ -269,6 +268,8 @@ class CyclotomicPartition:
             raise SpecError("partition document must be a JSON object")
         if not all(map(_is_int, doc.values())):
             raise SpecError("partition levels must be integers")
+        if any(str(int(k)) != k for k in doc):  # "01" would alias "1"
+            raise SpecError("partition keys must be canonical integers")
         assignment = {int(k): v for k, v in doc.items()}
         return make_partition(universe, s, assignment)
 

@@ -92,15 +92,15 @@ class GaloisExtension:
         return out
 
     @cached_property
-    def _unembed(self) -> dict[tuple[int, ...], RingElement]:
-        return {self.embed(a).coords: a for a in self.base.elements()}
+    def _unembed(self) -> dict[RingElement, RingElement]:
+        return {self.embed(a): a for a in self.base.elements()}
 
     def in_base(self, b: RingElement) -> bool:
-        return b.coords in self._unembed
+        return b in self._unembed
 
     def unembed(self, b: RingElement) -> RingElement:
         try:
-            return self._unembed[b.coords]
+            return self._unembed[b]
         except KeyError:
             raise SpecError("element does not lie in the embedded base ring")
 

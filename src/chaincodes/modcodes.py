@@ -392,40 +392,15 @@ def trace_code(ext, code: LinearCode) -> LinearCode:
 
 
 def res_subring_code(ext, code: LinearCode) -> LinearCode:
-    """The subring subcode B intersect R^length, computed structurally.
+    """The subring subcode B intersect R^length, as the R-dual of B's dual.
 
-    Flatten S^length to R^(m*length) through the xi-power basis; intersect
-    the flattened module with the sublattice carried by the 0th basis
-    coordinate of every component, then read the result back over R.
+    c in R^length lies in B exactly when sum_i c_i d_i = 0 for every
+    generator d of dual(B); with d_i = sum_k d_ik xi^k over the free basis
+    of xi-powers, that is sum_i c_i d_ik = 0 for every k < m.
     """
     if code.ring != ext.top:
         raise SpecError("res_subring expects a code over the extension")
-    base, m, n = ext.base, ext.m, code.length
-    flat_rows = []
-    for g in code.sf_rows:
-        for k in range(m):
-            xk = ext.xi_pow(k)
-            row = []
-            for a in g:
-                row.extend(ext.xi_coordinates(xk * a))
-            flat_rows.append(tuple(row))
-    flat = LinearCode(base, m * n, flat_rows)
-    lattice_perp_rows = []
-    for i in range(n):
-        for j in range(1, m):
-            row = [base.zero] * (m * n)
-            row[i * m + j] = base.one
-            lattice_perp_rows.append(tuple(row))
-    inter = sum_codes(
-        flat.dual(), LinearCode(base, m * n, lattice_perp_rows)
-    ).dual()
     rows = []
-    for g in inter.sf_rows:
-        for i in range(n):
-            for j in range(1, m):
-                if g[i * m + j]:
-                    raise AssertionError(
-                        "intersection left the coordinate sublattice"
-                    )
-        rows.append(tuple([g[i * m] for i in range(n)]))
-    return LinearCode(base, n, rows)
+    for d in code.dual().sf_rows:
+        rows.extend(zip(*map(ext.xi_coordinates, d)))  # (d_ik)_i for each k
+    return LinearCode(ext.base, code.length, rows).dual()

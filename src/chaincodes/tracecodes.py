@@ -124,18 +124,14 @@ def code_from_partition(
         raise SpecError(
             f"partition has {partition.s + 1} blocks, ring needs {ring.s + 1}"
         )
+    assignment = partition.to_assignment()
     rows = []
     for t in range(ring.s):
         scale = ring.encode(ring.theta_pow(t))
-        block = partition.blocks[t]
-        seen = set()
-        for z in block:
-            rep = min(coset(ctx.universe, z).members)
-            if rep in seen:
-                continue
-            seen.add(rep)
-            for g in ctx.coset_codes[rep]._sf:
-                rows.append(ring.row_scale(scale, g))
+        for rep, level in assignment.items():
+            if level == t:
+                for g in ctx.coset_codes[rep]._sf:
+                    rows.append(ring.row_scale(scale, g))
     return LinearCode(ring, ctx.ell, rows)
 
 

@@ -249,7 +249,7 @@ def test_exit_malformed(tmp_path, capsys):
     assert code == 3
 
 
-def test_exit_budget(tmp_path, capsys):
+def test_exit_budget(tmp_path, capsys, monkeypatch):
     doc = {
         "ring": json.loads(Z9_SPEC),
         "length": 4,
@@ -259,6 +259,17 @@ def test_exit_budget(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, _, err = run(capsys, "analyze", "--code", str(path), "--budget", "5")
     assert code == 4 and err
+    # dual: length^2 over the codeword budget is refused before the dual
+    # is built, which would otherwise allocate length^2 entries.
+    from chaincodes.modcodes import LinearCode
+
+    def dual_nothing(code):
+        raise AssertionError("dual built over budget")
+
+    monkeypatch.setattr(LinearCode, "dual", dual_nothing)
+    path.write_text(json.dumps({**doc, "length": 10**9, "generators": []}))
+    code, out, err = run(capsys, "dual", "--code", str(path))
+    assert code == 4 and err.startswith("error:") and not out
 
 
 @pytest.mark.parametrize(
@@ -397,7 +408,9 @@ def broken_partition_docs(draw):
     name, ell, doc = draw(partition_docs())
     key = draw(st.sampled_from(sorted(doc)))
     defect = draw(
-        st.sampled_from(["not an object", "level", "range", "missing", "extra"])
+        st.sampled_from(
+            ["not an object", "level", "range", "missing", "extra", "alias"]
+        )
     )
     if defect == "not an object":
         doc = draw(st.lists(st.integers(0, 2), max_size=3) | NON_INTS)
@@ -407,6 +420,9 @@ def broken_partition_docs(draw):
         doc[key] = draw(st.sampled_from([-1, 3, 10]))
     elif defect == "missing":
         del doc[key]
+    elif defect == "alias":
+        # Another spelling of a representative's key, e.g. "01" beside "1".
+        doc[draw(st.sampled_from(["0", "+", " "])) + key] = doc[key]
     else:
         doc[draw(st.sampled_from(["3", "7", "x", "-1"]))] = 0
     return name, ell, doc

@@ -64,6 +64,15 @@ def test_embedding_is_ring_hom(base, m):
         assert ext.unembed(ext.embed(a)) == a
 
 
+def test_foreign_element_is_not_in_the_base():
+    # Same coordinates as the embedded 1 of Z9, but an element of F3[u]/(u^2).
+    ext = extend(galois_ring(3, 1, 2), 2)
+    x = eu_ring(3, 1, 2).element([1, 0])
+    assert not ext.in_base(x)
+    with pytest.raises(SpecError):
+        ext.unembed(x)
+
+
 def test_frobenius_fixes_exactly_the_base():
     ext = extend(galois_ring(3, 1, 2), 2)
     fixed = [a for a in ext.top.elements() if ext.frobenius(a) == a]

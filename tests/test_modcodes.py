@@ -174,15 +174,17 @@ DELSARTE_EXTENSIONS = [
     extend(eu_ring(3, 1, 2), 2),
     extend(galois_ring(2, 1, 3), 2),
     extend(galois_ring(2, 1, 2), 2),
+    extend(galois_ring(2, 1, 2), 3),
+    extend(eu_ring(2, 1, 2), 3),
 ]
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_trace_and_subring_codes_match_the_oracle(data):
-    """Over extend(R, 2) for R in Z9, F3[u]/(u^2), Z8, Z4: the trace and
-    subring codes against brute force, and Delsarte's Tr(C)^perp =
-    Res(C^perp)."""
+    """Over extend(R, 2) for R in Z9, F3[u]/(u^2), Z8, Z4 and extend(R, 3)
+    for R in Z4, F2[u]/(u^2): the trace and subring codes against brute
+    force, and Delsarte's Tr(C)^perp = Res(C^perp)."""
     ext = data.draw(st.sampled_from(DELSARTE_EXTENSIONS))
     S = ext.top
     n = data.draw(st.integers(1, 2))
