@@ -42,10 +42,6 @@ from .errors import (
 from .galois import (
     GaloisExtension,
     extend,
-    frobenius,
-    root_of_unity,
-    teichmuller_generator,
-    trace,
     xi_multiplicative_order,
 )
 from .modcodes import (

@@ -88,11 +88,7 @@ def contract_code(code: LinearCode, u: int) -> ContractionResult:
             stacklevel=2,
         )
     ctx = context(ring, code.length)
-    order = ctx.ext.order
-    if order % u:
-        raise SpecError(f"u = {u} does not divide q^m - 1 = {order}")
-    gamma_top = ctx.ext.xi_pow(-omega * (order // u))
-    gamma = ctx.ext.unembed(gamma_top)
+    gamma = ctx.ext.unembed(ctx.eta_pow(-omega * n))
     rows = []
     for g in code._sf:
         tail = g[-n:]

@@ -8,6 +8,7 @@ its information exponents, which contraction needs."""
 from __future__ import annotations
 
 import json
+import re
 from functools import cache
 from math import gcd
 
@@ -268,7 +269,8 @@ class CyclotomicPartition:
             raise SpecError("partition document must be a JSON object")
         if not all(map(_is_int, doc.values())):
             raise SpecError("partition levels must be integers")
-        if any(str(int(k)) != k for k in doc):  # "01" would alias "1"
+        canonical = re.compile("0|-?[1-9][0-9]*")  # "01" would alias "1"
+        if not all(isinstance(k, str) and canonical.fullmatch(k) for k in doc):
             raise SpecError("partition keys must be canonical integers")
         assignment = {int(k): v for k, v in doc.items()}
         return make_partition(universe, s, assignment)

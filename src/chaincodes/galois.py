@@ -6,8 +6,11 @@ The base embeds through a deterministically chosen root of its modulus:
 the modulus divides X^(q-1) - 1, so each of its roots in the extension is a
 Teichmuller element, and the one over the smallest residue-field root is
 taken as the Teichmuller lift of that root.  Sigma acts by raising
-Teichmuller digits to the q-th power, and the trace is the sum of the
-sigma-orbit.
+Teichmuller digits to the q-th power.  The trace is R-linear: the base-B
+index digits d_j of an element (B = p^s for GR, p for EU) are its integer
+coordinates in the basis b_j = x^d theta^t, (t, d) = divmod(j, r*m), x the
+Teichmuller element of index B, so Tr = sum_j d_j Tr(b_j) with
+Tr(x^d theta^t) = theta^t sum_l (x^(q^l))^d.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from .chainring import (
     GALOIS_RING,
     ChainRing,
     RingElement,
-    _LazyTable,
     make_ring,
     ring_spec,
 )
@@ -46,10 +48,6 @@ class GaloisExtension:
             )
         self._embed_powers = self._compute_embedding()
         self.xi = self._compute_xi()
-        self._xi_pows = _LazyTable(self._xi_power)  # keyed by e mod order
-        self._xi_pows.update({0: self.top.one, 1 % self.order: self.xi})
-        self._traces = _LazyTable(self._trace)  # keyed by element
-        self._trace_xi_pows = _LazyTable(self._trace_xi_power)
 
     # -- embedding --------------------------------------------------------
 
@@ -112,27 +110,8 @@ class GaloisExtension:
         return top.teichmuller(top.lift(prim))
 
     def xi_pow(self, e: int) -> RingElement:
-        """xi^e (e mod q^m - 1), one multiplication per uncached exponent."""
-        return self._xi_pows[e % self.order]
-
-    def _xi_power(self, e: int) -> RingElement:
-        low, high = self._xi_steps
-        block = len(low)
-        return self.top._mul(high[e // block], low[e % block])
-
-    @cached_property
-    def _xi_steps(self) -> tuple[list[RingElement], list[RingElement]]:
-        """Baby steps xi^i for i < block and giant steps xi^(block*j)."""
-        top = self.top
-        block = min(self.order, 1024)
-        low = [top.one]
-        while len(low) < block:
-            low.append(top._mul(low[-1], self.xi))
-        giant = top._mul(low[-1], self.xi)
-        high = [top.one]
-        while len(high) <= self.order // block:
-            high.append(top._mul(high[-1], giant))
-        return low, high
+        """xi^e, e taken mod q^m - 1."""
+        return self.top.pow(self.xi, e % self.order)
 
     def root_of_unity(self, ell: int) -> RingElement:
         """A Teichmuller element of multiplicative order exactly ell."""
@@ -161,27 +140,35 @@ class GaloisExtension:
         return out
 
     def trace(self, a: RingElement) -> RingElement:
-        """Tr(a) = sum of the sigma-orbit, returned as a base-ring element."""
-        return self._traces[a]
+        """Tr(a) = sum_j d_j Tr(b_j) over the index digits d_j of a."""
+        if a.ring is not self.top:
+            raise SpecError("trace expects an element of the extension")
+        if self.m == 1:
+            return a
+        out, index = self.base.zero, a.index
+        for basis_trace in self._basis_traces:
+            index, d = divmod(index, self.top._digits[0])
+            if d:
+                out = out + self.base.int_mul(d, basis_trace)
+        return out
 
-    def _trace(self, a: RingElement) -> RingElement:
-        acc = a
-        cur = a
+    @cached_property
+    def _basis_traces(self) -> list[RingElement]:
+        """Tr(b_j), in the order j = t*r*m + d."""
+        top, base, width = self.top, self.base, self.base.r * self.m
+        conjugates = [top.element_at(top._digits[0])]  # x^(q^l) for l < m
         for _ in range(self.m - 1):
-            cur = self.frobenius(cur)
-            acc = acc + cur
-        return self.unembed(acc)
+            conjugates.append(top.pow(conjugates[-1], self.q))
+        powers, traces = [top.one] * self.m, []
+        for _ in range(width):
+            traces.append(self.unembed(sum(powers, top.zero)))
+            powers = list(map(top._mul, powers, conjugates))
+        thetas = map(base.theta_pow, range(top._digits[1] // width))
+        return [tr * theta_t for theta_t in thetas for tr in traces]
 
     def trace_xi_pow(self, e: int) -> RingElement:
-        """Tr(xi^e), computed through the exponent orbit e, eq, eq^2, ..."""
-        return self._trace_xi_pows[e % self.order]
-
-    def _trace_xi_power(self, e: int) -> RingElement:
-        acc = self.top.zero
-        for _ in range(self.m):
-            acc = acc + self.xi_pow(e)
-            e = (e * self.q) % self.order
-        return self.unembed(acc)
+        """Tr(xi^e)."""
+        return self.trace(self.xi_pow(e))
 
     # -- coordinates in the xi-power basis -------------------------------
 
@@ -221,22 +208,6 @@ def _invert_unit_matrix(ring: ChainRing, mat):
 def extend(base: ChainRing, m: int) -> GaloisExtension:
     """The Galois extension of degree m over the base ring (cached)."""
     return GaloisExtension(base, m)
-
-
-def teichmuller_generator(ext: GaloisExtension) -> RingElement:
-    return ext.xi
-
-
-def frobenius(ext: GaloisExtension, a: RingElement, power: int = 1) -> RingElement:
-    return ext.frobenius(a, power)
-
-
-def trace(ext: GaloisExtension, a: RingElement) -> RingElement:
-    return ext.trace(a)
-
-
-def root_of_unity(ext: GaloisExtension, ell: int) -> RingElement:
-    return ext.root_of_unity(ell)
 
 
 def xi_multiplicative_order(ext: GaloisExtension) -> int:

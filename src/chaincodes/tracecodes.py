@@ -4,12 +4,15 @@ Fix a root of unity eta of order ell inside the degree-m extension S|R,
 m = ord_ell(q).  Each q-cyclotomic coset [z] carries an irreducible cyclic
 code with codewords (Tr(x eta^(z j)))_j, and every cyclic code over R is a
 direct sum of theta-power multiples of these, one per coset.  The levels
-form a (q, s)-cyclotomic partition of {0, ..., ell-1}.
+form a (q, s)-cyclotomic partition of {0, ..., ell-1}.  A context holds
+the powers eta^e for e < ell and, built on first use, the traces
+Tr(xi^k eta^e) for k < m and each coset's trace-row code, which reads them
+at the exponents z*j mod ell.
 """
 
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from itertools import product
 from math import gcd
 
@@ -25,7 +28,7 @@ from .cosets import (
     representatives,
 )
 from .errors import NotCyclic, SpecError
-from .galois import GaloisExtension, extend
+from .galois import extend
 from .modcodes import LinearCode
 
 
@@ -42,13 +45,25 @@ class EvalContext:
         self.universe = CosetUniverse(ell, ring.q)
         self.m = self.universe.m
         self.ext = extend(ring, self.m)
-        self.w = (ring.q**self.m - 1) // ell
-        self.eta = self.ext.xi_pow(self.w)
+        self.eta = self.ext.root_of_unity(ell)
+        top = self.ext.top
+        self.eta_pows = [top.one]
+        for _ in range(ell - 1):
+            self.eta_pows.append(top._mul(self.eta_pows[-1], self.eta))
         # The trace-row code of each coset, keyed by its least member.
         self.coset_codes = _LazyTable(partial(_trace_rows, self))
 
     def eta_pow(self, e: int) -> RingElement:
-        return self.ext.xi_pow(self.w * (e % self.ell))
+        return self.eta_pows[e % self.ell]
+
+    @cached_property
+    def traces(self) -> list[list[RingElement]]:
+        """Tr(xi^k eta^e), indexed [k][e], for k < m and e < ell."""
+        ext = self.ext
+        return [
+            [ext.trace(ext.top._mul(xk, y)) for y in self.eta_pows]
+            for xk in map(ext.xi_pow, range(self.m))
+        ]
 
 
 @cache
@@ -60,12 +75,9 @@ def _trace_rows(ctx: EvalContext, rep: int) -> LinearCode:
     """The irreducible cyclic code of the coset [rep], spanned by the rows
     (Tr(xi^k eta^(rep*j)))_j for k < m; its standard form has one row per
     coset member."""
-    ext, w, ell = ctx.ext, ctx.w, ctx.ell
-    traces = [
-        [ext.trace_xi_pow(k + w * rep * j) for j in range(ell)]
-        for k in range(ext.m)
-    ]
-    return LinearCode(ctx.ring, ell, traces)
+    ell = ctx.ell
+    rows = [[row[rep * j % ell] for j in range(ell)] for row in ctx.traces]
+    return LinearCode(ctx.ring, ell, rows)
 
 
 def irreducible_cyclic_code(ctx: EvalContext, z: int) -> LinearCode:

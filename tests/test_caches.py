@@ -4,6 +4,7 @@ process, and per-object memos that compute each entry once."""
 from chaincodes import (
     ChainRing,
     CosetUniverse,
+    EvalContext,
     context,
     cosets,
     extend,
@@ -29,24 +30,36 @@ def test_one_object_per_defining_argument():
 
 def test_repeated_calls_hit_the_memos(monkeypatch):
     # GR(81, 2) is above the table cap, so every product in it goes through
-    # _mul_coords; a fresh extension starts with empty memos.
-    ext = GaloisExtension(galois_ring(3, 1, 2), 4)
+    # _mul_coords; a fresh extension and context start with empty memos.
+    ring = galois_ring(3, 1, 2)
+    ext = GaloisExtension(ring, 4)
     assert not ext.top.has_tables
     calls = []
     mul = ChainRing._mul_coords
 
     def counted(self, a, b):
-        calls.append((a, b))
+        if self is ext.top:
+            calls.append((a, b))
         return mul(self, a, b)
 
     monkeypatch.setattr(ChainRing, "_mul_coords", counted)
+    # The basis traces are built once; a trace after that multiplies nothing.
     a = ext.top.element([5, 7, 1, 0])
-    for call, arg in ((ext.xi_pow, 1234), (ext.trace_xi_pow, 77), (ext.trace, a)):
-        first = call(arg)
-        assert calls, call.__name__
-        calls.clear()
-        assert call(arg) is first
-        assert calls == [], call.__name__
+    first = ext.trace(a)
+    assert calls
+    calls.clear()
+    assert ext.trace(a) is first
+    assert ext.trace(ext.top.element([2, 0, 8, 3])).ring is ring
+    assert calls == []
+    # The trace table is built with the first coset's rows; a second coset
+    # only reads it.
+    ctx = EvalContext(ring, 20)
+    assert ctx.ext.top is ext.top
+    ctx.coset_codes[1]
+    assert calls
+    calls.clear()
+    ctx.coset_codes[2]
+    assert calls == []
 
 
 def test_interning_above_the_cap():

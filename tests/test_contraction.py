@@ -131,6 +131,22 @@ def test_contract_derived_order_warning():
     assert Z9.multiplicative_order(res.gamma) == 2
 
 
+@pytest.mark.parametrize("info_rep", [1, 3])
+def test_contract_gamma_of_order_four(info_rep):
+    # Over Z25 (q = 5) every class mod u = 4 is closed under z -> 5z, so
+    # gamma = eta^(-omega * n) has order 4 and the sign of its exponent
+    # matters, unlike gamma = -1.
+    ring = galois_ring(5, 1, 2)
+    ctx = context(ring, 8)
+    levels = dict.fromkeys(representatives(ctx.universe), ring.s)
+    levels[info_rep] = 0
+    c = code_from_partition(ctx, make_partition(ctx.universe, ring.s, levels))
+    res = contract_code(c, 4)
+    assert res.omega == info_rep
+    assert ring.multiplicative_order(res.gamma) == 4
+    assert concatenation_code(res.code, res.gamma, 4).same_code(c)
+
+
 def test_weight_relation():
     c = paper_code_20()
     res = contract_code(c, 2)

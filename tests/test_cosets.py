@@ -108,6 +108,15 @@ def test_partition_json_round_trip():
     assert CyclotomicPartition.from_json(universe, 2, doc) == p
 
 
+@pytest.mark.parametrize("key", ["x", "", "1.5", " 1", "01", "+1", "\u00b2"])
+def test_partition_json_rejects_malformed_keys(key):
+    universe = CosetUniverse(4, 3)
+    doc = {"0": 0, "1": 1, "2": 0}
+    doc[key] = 2
+    with pytest.raises(SpecError, match="canonical integers"):
+        CyclotomicPartition.from_json(universe, 2, doc)
+
+
 def test_tilde_dual_involution():
     universe = CosetUniverse(20, 3)
     p = make_partition(universe, 2, {0: 0, 1: 1, 2: 2, 5: 0, 11: 1, 4: 2, 10: 0})

@@ -1,17 +1,26 @@
 """Tests for Galois extensions: embedding, Frobenius, trace, xi."""
 
 import random
+from itertools import product
 
 import pytest
 
 from chaincodes import (
+    LinearCode,
     SpecError,
+    context,
     eu_ring,
     extend,
     galois_ring,
+    representatives,
     xi_multiplicative_order,
 )
 from chaincodes.galois import _invert_unit_matrix
+
+Z9 = galois_ring(3, 1, 2)
+F3U = eu_ring(3, 1, 2)  # F3[u]/(u^2)
+Z8 = galois_ring(2, 1, 3)
+GR4_2 = galois_ring(2, 2, 2)  # GR(4, 2)
 
 
 def test_extend_z9_shape():
@@ -104,6 +113,86 @@ def test_trace():
         for c in base.elements():
             assert ext.trace(ext.embed(c) * a) == c * t
     assert image == set(base.elements())
+
+
+def orbit_trace(ext, a, frobenius):
+    """Reference trace: the sum of the sigma-orbit a, sigma(a), ...,
+    sigma^(m-1)(a), mapped back into the base ring."""
+    acc = cur = a
+    for _ in range(ext.m - 1):
+        cur = frobenius(cur)
+        acc = acc + cur
+    return ext.unembed(acc)
+
+
+@pytest.mark.parametrize(
+    "base,m",
+    [
+        (Z9, 2),
+        (Z9, 4),
+        (F3U, 2),
+        (F3U, 3),
+        (Z8, 2),
+        (GR4_2, 2),
+        (GR4_2, 3),
+        (eu_ring(2, 1, 3), 2),
+        (eu_ring(2, 2, 2), 2),
+        (galois_ring(5, 1, 2), 2),  # Z25
+        (galois_ring(3, 2, 2), 2),  # GR(9, 2)
+        (galois_ring(3, 1, 3), 2),  # Z27
+        (eu_ring(3, 2, 2), 2),
+    ],
+)
+def test_trace_is_the_orbit_sum(base, m):
+    # sigma(sum_t d_t theta^t) = sum_t sigma(d_t) theta^t over the
+    # Teichmuller digits d_t, tabulated once for every element.
+    ext = extend(base, m)
+    top = ext.top
+    teich = top.teichmuller_set()
+    image = {d: ext.frobenius(d) for d in teich}
+    sigma = {
+        top.recompose(ds): top.recompose([image[d] for d in ds])
+        for ds in product(teich, repeat=top.s)
+    }
+    assert len(sigma) == top.size
+    for a in top.elements():
+        assert ext.trace(a) is orbit_trace(ext, a, sigma.__getitem__)
+
+
+def test_trace_rejects_a_foreign_element():
+    for m in (1, 2):
+        with pytest.raises(SpecError):
+            extend(Z9, m).trace(F3U.one)
+
+
+@pytest.mark.parametrize(
+    "ring,ell",
+    [(Z9, ell) for ell in (4, 8, 20, 26, 28)]
+    + [(F3U, 4), (F3U, 8), (Z8, 3), (Z8, 7), (GR4_2, 5), (eu_ring(2, 1, 3), 7)],
+)
+def test_trace_rows_match_the_exponent_orbit(ring, ell):
+    # Tr(xi^e) summed over the exponent orbit e, eq, eq^2, ... (mod q^m - 1).
+    ctx = context(ring, ell)
+    ext = ctx.ext
+    w = ext.order // ell
+    traces = {}
+
+    def trace_xi_pow(e):
+        e %= ext.order
+        if e not in traces:
+            acc = ext.top.zero
+            for l in range(ext.m):
+                acc = acc + ext.xi_pow(e * ext.q**l)
+            traces[e] = ext.unembed(acc)
+        return traces[e]
+
+    for rep in representatives(ctx.universe):
+        rows = [
+            [trace_xi_pow(k + w * rep * j) for j in range(ell)]
+            for k in range(ext.m)
+        ]
+        reference = LinearCode(ring, ell, rows)
+        assert ctx.coset_codes[rep].sf_rows == reference.sf_rows
 
 
 def test_trace_xi_pow_agrees():
