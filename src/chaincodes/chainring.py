@@ -156,6 +156,10 @@ def _translation(entries) -> bytes:
     return bytes(entries) + bytes(256 - len(entries))
 
 
+def _foreign(other) -> SpecError:
+    return SpecError(f"{other!r} is an element of another ring")
+
+
 class RingElement:
     """An element of a ChainRing in canonical coordinates."""
 
@@ -167,15 +171,21 @@ class RingElement:
         self.index = index
 
     def __add__(self, other):
+        if other.ring is not self.ring:
+            raise _foreign(other)
         return self.ring._add(self, other)
 
     def __sub__(self, other):
+        if other.ring is not self.ring:
+            raise _foreign(other)
         return self.ring._add(self, self.ring._neg(other))
 
     def __neg__(self):
         return self.ring._neg(self)
 
     def __mul__(self, other):
+        if other.ring is not self.ring:
+            raise _foreign(other)
         return self.ring._mul(self, other)
 
     def __pow__(self, e: int):

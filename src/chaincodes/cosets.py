@@ -264,7 +264,10 @@ class CyclotomicPartition:
     @staticmethod
     def from_json(universe: CosetUniverse, s: int, doc) -> "CyclotomicPartition":
         if isinstance(doc, str):
-            doc = json.loads(doc)
+            try:
+                doc = json.loads(doc)
+            except ValueError as exc:
+                raise SpecError(f"malformed partition document: {exc}") from exc
         if not isinstance(doc, dict):
             raise SpecError("partition document must be a JSON object")
         if not all(map(_is_int, doc.values())):

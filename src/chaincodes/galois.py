@@ -2,15 +2,14 @@
 
 The extension of degree m is built in the same family as the base with
 residue degree r*m, so one arithmetic kernel serves base and extension.
-The base embeds through a deterministically chosen root of its modulus:
-the modulus divides X^(q-1) - 1, so each of its roots in the extension is a
-Teichmuller element, and the one over the smallest residue-field root is
-taken as the Teichmuller lift of that root.  Sigma acts by raising
-Teichmuller digits to the q-th power.  The trace is R-linear: the base-B
-index digits d_j of an element (B = p^s for GR, p for EU) are its integer
-coordinates in the basis b_j = x^d theta^t, (t, d) = divmod(j, r*m), x the
-Teichmuller element of index B, so Tr = sum_j d_j Tr(b_j) with
-Tr(x^d theta^t) = theta^t sum_l (x^(q^l))^d.
+The embedding R -> S, sigma and the trace are additive and fix theta, so
+each is one digit map f(a) = sum_j d_j f(b_j): the base-B index digits d_j
+of an element (B = p^s for GR, p for EU) are its integer coordinates in the
+basis b_j = y^d theta^t, (t, d) = divmod(j, r), y of index B.  The
+embedding sends y to the Teichmuller lift w of the smallest residue root of
+the base modulus (a root, since the modulus divides X^(q-1) - 1); sigma^l
+sends the Teichmuller element x of index B in S to x^(q^l); and Tr(b_j) is
+the orbit sum of the sigma^l(b_j).
 """
 
 from __future__ import annotations
@@ -18,15 +17,32 @@ from __future__ import annotations
 from functools import cache, cached_property
 
 from ._ints import factorize
-from .chainring import (
-    GALOIS_RING,
-    ChainRing,
-    RingElement,
-    make_ring,
-    ring_spec,
-)
+from .chainring import ChainRing, RingElement, make_ring, ring_spec
 from .errors import SpecError
 from .modcodes import LinearCode, vdot
+
+
+def _digit_basis(ring: ChainRing, y: RingElement, layout: ChainRing) -> list:
+    """y^d theta^t in ring, in the digit order j = t*r + d of layout's
+    indices (r = layout.r), built by consecutive products."""
+    row = [ring.one, y][: layout.r]
+    while len(row) < layout.r:
+        row.append(ring._mul(row[-1], y))
+    basis = list(row)
+    for _ in range(1, layout._digits[1] // layout.r):
+        row = [ring._mul(b, ring.theta) for b in row]
+        basis += row
+    return basis
+
+
+def _digit_sum(a: RingElement, images, ring: ChainRing) -> RingElement:
+    """sum_j d_j * images[j] in ring, over the base-B index digits d_j of a."""
+    out, index, base = ring.zero, a.index, a.ring._digits[0]
+    for image in images:
+        index, d = divmod(index, base)
+        if d:
+            out = out + ring.int_mul(d, image)
+    return out
 
 
 class GaloisExtension:
@@ -46,24 +62,21 @@ class GaloisExtension:
             self.top = make_ring(
                 ring_spec(base.family, base.p, base.r * m, base.s)
             )
-        self._embed_powers = self._compute_embedding()
-        self.xi = self._compute_xi()
+        prim = self.top.fq.smallest_primitive()
+        self.xi = self.top.teichmuller(self.top.lift(prim))
 
     # -- embedding --------------------------------------------------------
 
-    def _compute_embedding(self):
-        base, top = self.base, self.top
-        if self.m == 1:
-            return None
-        hbar = [c % base.p for c in base.spec.modulus]
-        # Smallest residue-field root of the base modulus inside the top ring.
-        root_res = next(
-            (c for c in range(top.q) if top.fq.poly_eval(hbar, c) == 0), None
-        )
-        if root_res is None:
-            raise AssertionError("base modulus must split in the extension")
-        w = top.teichmuller(top.lift(root_res))  # the root over root_res
-        return [top.pow(w, j) for j in range(base.r)]
+    @cached_property
+    def _embed_images(self) -> list[RingElement]:
+        """w^d theta^t over the base's digit basis.  The residue roots of the
+        base modulus lie in F_q: 0 and the powers of g below."""
+        top, fq = self.top, self.top.fq
+        hbar = [c % self.base.p for c in self.base.spec.modulus]
+        g = fq.pow(top.residue(self.xi), self.order // (self.q - 1))
+        subfield = [0] + [fq.pow(g, k) for k in range(self.q - 1)]
+        root = min(c for c in subfield if fq.poly_eval(hbar, c) == 0)
+        return _digit_basis(top, top.teichmuller(top.lift(root)), self.base)
 
     def embed(self, a: RingElement) -> RingElement:
         """The injective ring homomorphism R -> S."""
@@ -71,23 +84,7 @@ class GaloisExtension:
             raise SpecError("embed expects an element of the base ring")
         if self.m == 1:
             return a
-        if self.base.family == GALOIS_RING:
-            return self._combine(a.coords)
-        # EU family: embed the residue-field coefficient of each power of u.
-        top = self.top
-        out = top.zero
-        for t, c in enumerate(a.coords):
-            field = self._combine(self.base.fq.to_coeffs(c))
-            out = out + top._mul(field, top.theta_pow(t))
-        return out
-
-    def _combine(self, coeffs) -> RingElement:
-        """sum_j coeffs[j] * w^j in S, for w the embedding root."""
-        top = self.top
-        out = top.zero
-        for c, power in zip(coeffs, self._embed_powers):
-            out = out + top.int_mul(c, power)
-        return out
+        return _digit_sum(a, self._embed_images, self.top)
 
     @cached_property
     def _unembed(self) -> dict[RingElement, RingElement]:
@@ -104,11 +101,6 @@ class GaloisExtension:
 
     # -- Teichmuller generator -------------------------------------------
 
-    def _compute_xi(self) -> RingElement:
-        top = self.top
-        prim = top.fq.smallest_primitive()
-        return top.teichmuller(top.lift(prim))
-
     def xi_pow(self, e: int) -> RingElement:
         """xi^e, e taken mod q^m - 1."""
         return self.top.pow(self.xi, e % self.order)
@@ -123,21 +115,29 @@ class GaloisExtension:
 
     # -- Frobenius and trace ---------------------------------------------
 
+    @cached_property
+    def _sigma_images(self) -> list[list[RingElement]]:
+        """sigma^l(b_j) = x^(d q^l) theta^t for l < m."""
+        top = self.top
+        conjugates = [top.element_at(top._digits[0])]  # x^(q^l)
+        for _ in range(self.m - 1):
+            conjugates.append(top.pow(conjugates[-1], self.q))
+        return [_digit_basis(top, x, top) for x in conjugates]
+
+    @cached_property
+    def _basis_traces(self) -> list[RingElement]:
+        """Tr(b_j), the orbit sum of b_j."""
+        zero = self.top.zero
+        return [self.unembed(sum(im, zero)) for im in zip(*self._sigma_images)]
+
     def frobenius(self, a: RingElement, power: int = 1) -> RingElement:
-        """sigma^power: raise each Teichmuller digit to the q^power-th power."""
+        """sigma^power, the Teichmuller digits raised to the q^power-th power."""
         if a.ring is not self.top:
             raise SpecError("frobenius expects an element of the extension")
         power %= self.m
         if power == 0:
             return a
-        top = self.top
-        exp = pow(self.q, power, self.order) if self.order > 1 else 1
-        digits = top.theta_adic_expansion(a)
-        out = top.zero
-        for t, d in enumerate(digits):
-            if d:
-                out = out + top._mul(top.pow(d, exp), top.theta_pow(t))
-        return out
+        return _digit_sum(a, self._sigma_images[power], self.top)
 
     def trace(self, a: RingElement) -> RingElement:
         """Tr(a) = sum_j d_j Tr(b_j) over the index digits d_j of a."""
@@ -145,26 +145,7 @@ class GaloisExtension:
             raise SpecError("trace expects an element of the extension")
         if self.m == 1:
             return a
-        out, index = self.base.zero, a.index
-        for basis_trace in self._basis_traces:
-            index, d = divmod(index, self.top._digits[0])
-            if d:
-                out = out + self.base.int_mul(d, basis_trace)
-        return out
-
-    @cached_property
-    def _basis_traces(self) -> list[RingElement]:
-        """Tr(b_j), in the order j = t*r*m + d."""
-        top, base, width = self.top, self.base, self.base.r * self.m
-        conjugates = [top.element_at(top._digits[0])]  # x^(q^l) for l < m
-        for _ in range(self.m - 1):
-            conjugates.append(top.pow(conjugates[-1], self.q))
-        powers, traces = [top.one] * self.m, []
-        for _ in range(width):
-            traces.append(self.unembed(sum(powers, top.zero)))
-            powers = list(map(top._mul, powers, conjugates))
-        thetas = map(base.theta_pow, range(top._digits[1] // width))
-        return [tr * theta_t for theta_t in thetas for tr in traces]
+        return _digit_sum(a, self._basis_traces, self.base)
 
     def trace_xi_pow(self, e: int) -> RingElement:
         """Tr(xi^e)."""

@@ -60,6 +60,19 @@ def test_repeated_calls_hit_the_memos(monkeypatch):
     calls.clear()
     ctx.coset_codes[2]
     assert calls == []
+    # Frobenius and the embedding build their basis images on first use
+    # only; GR(9, 2) extends to the same top ring.
+    fresh = GaloisExtension(ring, 4)
+    wide = GaloisExtension(galois_ring(3, 2, 2), 2)
+    assert wide.top is ext.top
+    b = wide.base.element([4, 7])
+    for call in (lambda: fresh.frobenius(a, 3), lambda: wide.embed(b)):
+        calls.clear()
+        first = call()
+        assert calls
+        calls.clear()
+        assert call() is first
+        assert calls == []
 
 
 def test_interning_above_the_cap():

@@ -1,6 +1,7 @@
 """Tests for finite chain ring construction and arithmetic."""
 
 import json
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -52,6 +53,22 @@ def test_interning():
     R = galois_ring(3, 1, 2)
     assert R.element([5]) is R.element([14 % 9])
     assert R.element([0]) is R.zero
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        # Z9 [4] * F3[u]/(u^2) [1, 1] must not read [1, 1] as Z9's [1] (= [7]).
+        (galois_ring(3, 1, 2).element([4]), eu_ring(3, 1, 2).element([1, 1])),
+        (galois_ring(3, 1, 2).one, galois_ring(3, 1, 3).one),
+        (galois_ring(3, 4, 2).theta, eu_ring(3, 4, 2).theta),  # above the cap
+    ],
+)
+def test_operands_from_another_ring_are_refused(a, b):
+    for op in (operator.add, operator.sub, operator.mul):
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(SpecError, match="another ring"):
+                op(x, y)
 
 
 def test_teichmuller_z9():

@@ -108,13 +108,18 @@ def test_partition_json_round_trip():
     assert CyclotomicPartition.from_json(universe, 2, doc) == p
 
 
-@pytest.mark.parametrize("key", ["x", "", "1.5", " 1", "01", "+1", "\u00b2"])
-def test_partition_json_rejects_malformed_keys(key):
-    universe = CosetUniverse(4, 3)
-    doc = {"0": 0, "1": 1, "2": 0}
-    doc[key] = 2
-    with pytest.raises(SpecError, match="canonical integers"):
-        CyclotomicPartition.from_json(universe, 2, doc)
+MALFORMED_KEYS = ["x", "", "1.5", " 1", "01", "+1", "\u00b2"]
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [({"0": 0, "1": 1, "2": 0, key: 2}, "canonical integers") for key in MALFORMED_KEYS]
+    + [("{bad", "malformed partition document")],  # JSON text, key unquoted
+    ids=MALFORMED_KEYS + ["{bad"],
+)
+def test_partition_json_rejects_malformed_keys(doc, message):
+    with pytest.raises(SpecError, match=message):
+        CyclotomicPartition.from_json(CosetUniverse(4, 3), 2, doc)
 
 
 def test_tilde_dual_involution():

@@ -115,6 +115,23 @@ def test_trace():
     assert image == set(base.elements())
 
 
+ORBIT_EXTENSIONS = [
+    (Z9, 2),
+    (Z9, 4),
+    (F3U, 2),
+    (F3U, 3),
+    (Z8, 2),
+    (GR4_2, 2),
+    (GR4_2, 3),
+    (eu_ring(2, 1, 3), 2),
+    (eu_ring(2, 2, 2), 2),
+    (galois_ring(5, 1, 2), 2),  # Z25
+    (galois_ring(3, 2, 2), 2),  # GR(9, 2)
+    (galois_ring(3, 1, 3), 2),  # Z27
+    (eu_ring(3, 2, 2), 2),
+]
+
+
 def orbit_trace(ext, a, frobenius):
     """Reference trace: the sum of the sigma-orbit a, sigma(a), ...,
     sigma^(m-1)(a), mapped back into the base ring."""
@@ -125,31 +142,14 @@ def orbit_trace(ext, a, frobenius):
     return ext.unembed(acc)
 
 
-@pytest.mark.parametrize(
-    "base,m",
-    [
-        (Z9, 2),
-        (Z9, 4),
-        (F3U, 2),
-        (F3U, 3),
-        (Z8, 2),
-        (GR4_2, 2),
-        (GR4_2, 3),
-        (eu_ring(2, 1, 3), 2),
-        (eu_ring(2, 2, 2), 2),
-        (galois_ring(5, 1, 2), 2),  # Z25
-        (galois_ring(3, 2, 2), 2),  # GR(9, 2)
-        (galois_ring(3, 1, 3), 2),  # Z27
-        (eu_ring(3, 2, 2), 2),
-    ],
-)
+@pytest.mark.parametrize("base,m", ORBIT_EXTENSIONS)
 def test_trace_is_the_orbit_sum(base, m):
-    # sigma(sum_t d_t theta^t) = sum_t sigma(d_t) theta^t over the
-    # Teichmuller digits d_t, tabulated once for every element.
+    # sigma(sum_t d_t theta^t) = sum_t d_t^q theta^t over the Teichmuller
+    # digits d_t, tabulated once for every element.
     ext = extend(base, m)
     top = ext.top
     teich = top.teichmuller_set()
-    image = {d: ext.frobenius(d) for d in teich}
+    image = {d: top.pow(d, ext.q) for d in teich}
     sigma = {
         top.recompose(ds): top.recompose([image[d] for d in ds])
         for ds in product(teich, repeat=top.s)
@@ -157,6 +157,69 @@ def test_trace_is_the_orbit_sum(base, m):
     assert len(sigma) == top.size
     for a in top.elements():
         assert ext.trace(a) is orbit_trace(ext, a, sigma.__getitem__)
+
+
+def theta_adic_frobenius(ext, a, power):
+    """Reference sigma^power: raise each Teichmuller digit of a to the
+    q^power-th power."""
+    power %= ext.m
+    if power == 0:
+        return a
+    top = ext.top
+    exp = pow(ext.q, power, ext.order)
+    out = top.zero
+    for t, d in enumerate(top.theta_adic_expansion(a)):
+        if d:
+            out = out + top.pow(d, exp) * top.theta_pow(t)
+    return out
+
+
+@pytest.mark.parametrize("base,m", ORBIT_EXTENSIONS)
+def test_frobenius_is_the_digit_power(base, m):
+    ext = extend(base, m)
+    top = ext.top
+    if top.size <= 256:
+        elems = top.elements()
+    else:
+        rng = random.Random(f"frobenius:{top.spec}")
+        elems = [top.element_at(rng.randrange(top.size)) for _ in range(100)]
+    for a in elems:
+        for k in range(m + 1):
+            assert ext.frobenius(a, k) is theta_adic_frobenius(ext, a, k)
+
+
+def coefficient_embed(ext):
+    """Reference embedding: the lift w of the smallest root of the base
+    modulus among all residues of S, and a = sum_(t,d) c_(t,d) x^d theta^t
+    mapped to sum c_(t,d) w^d theta^t coefficient by coefficient."""
+    base, top = ext.base, ext.top
+    hbar = [c % base.p for c in base.spec.modulus]
+    root = next(c for c in range(top.q) if top.fq.poly_eval(hbar, c) == 0)
+    powers = [top.pow(top.teichmuller(top.lift(root)), d) for d in range(base.r)]
+
+    def combine(coeffs):
+        out = top.zero
+        for c, power in zip(coeffs, powers):
+            out = out + top.int_mul(c, power)
+        return out
+
+    def embed(a):
+        if base.family == "GR":
+            return combine(a.coords)
+        out = top.zero
+        for t, c in enumerate(a.coords):
+            out = out + combine(base.fq.to_coeffs(c)) * top.theta_pow(t)
+        return out
+
+    return embed
+
+
+@pytest.mark.parametrize("base,m", ORBIT_EXTENSIONS)
+def test_embedding_is_the_coefficient_map(base, m):
+    ext = extend(base, m)
+    embed = coefficient_embed(ext)
+    for a in base.elements():
+        assert ext.embed(a) is embed(a)
 
 
 def test_trace_rejects_a_foreign_element():
@@ -305,6 +368,6 @@ def test_embedding_root_is_the_newton_lift(base):
     top = ext.top
     hbar = [c % base.p for c in base.spec.modulus]
     root_res = min(c for c in range(top.q) if top.fq.poly_eval(hbar, c) == 0)
-    root = ext._embed_powers[1]
+    root = ext.embed(base.element([0, 1]))
     assert root == newton_root(top, base.lifted_modulus, top.lift(root_res))
     assert top.residue(root) == root_res
