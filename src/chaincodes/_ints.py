@@ -93,6 +93,19 @@ def euler_phi(n: int) -> int:
     return out
 
 
+def order_dividing(n: int, is_one) -> int:
+    """The order of x, given a multiple n of it and is_one(d) telling
+    whether x^d = 1: the least divisor d of n with is_one(d), found one
+    prime of factorize(n) at a time."""
+    order = n
+    for p, e in factorize(n):
+        for _ in range(e):
+            if not is_one(order // p):
+                break
+            order //= p
+    return order
+
+
 def multiplicative_order(a: int, n: int) -> int:
     """Least i >= 1 with a^i = 1 (mod n); requires gcd(a, n) = 1."""
     if n == 1:
@@ -102,11 +115,4 @@ def multiplicative_order(a: int, n: int) -> int:
 
     if gcd(a, n) != 1:
         raise ValueError(f"{a} is not a unit modulo {n}")
-    order = euler_phi(n)
-    for p, e in factorize(order):
-        for _ in range(e):
-            if pow(a, order // p, n) == 1:
-                order //= p
-            else:
-                break
-    return order
+    return order_dividing(euler_phi(n), lambda d: pow(a, d, n) == 1)

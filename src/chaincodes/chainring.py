@@ -35,10 +35,11 @@ elements above the cap, and the row operations (``row_axpy``,
 take and return that encoding.  Zero encodes as a false value either way.
 On byte rows the row work runs in C, through ``bytes.translate`` with
 256-entry tables filled from the index tables on first use.  Addition is
-digit-wise on indices (base B = ``p^s`` for ``GR``, ``p`` for ``EU``), so
-``row_axpy`` adds two rows as integers (``int.from_bytes``) once their
-digits are re-spelt in base 2B, where no sum carries, and folds the sums
-back with one ``translate``; and ``row_dots`` sums each index digit of the
+digit-wise on indices (base B = ``p^s`` for ``GR``, ``p`` for ``EU``).
+When an index's digits re-spelt in base 2B fit a byte, ``row_axpy`` adds
+two rows as integers (``int.from_bytes``), where no sum carries, and folds
+the sums back with one ``translate``; otherwise it adds entry by entry
+through the ``+`` table.  ``row_dots`` sums each index digit of the
 entrywise products modulo B.  In rings of at most ``PAIR_CAP`` elements
 those products come from one ``translate`` of the two rows packed into one,
 a byte ``(a << 4) | b`` per entry.
@@ -51,15 +52,18 @@ from functools import cache, cached_property
 from operator import getitem
 
 from . import _polys
-from ._ints import PRIME_TEST_BOUND, is_prime
+from ._ints import PRIME_TEST_BOUND, is_prime, order_dividing
 from ._record import record
-from .errors import SpecError
+from .errors import BudgetExceeded, SpecError
 from .fields import FqArith
 
 GALOIS_RING = "GR"
 EU_POWER_SERIES = "EU"
 TABLE_CAP = 256  # rings with at most this many elements use lookup tables
 PAIR_CAP = 16  # rings with at most this many elements pack index pairs in a byte
+# The largest q whose GR modulus is Hensel-lifted: the lift works on the
+# dense X^(q-1) - 1 and takes seconds at q = 3^8.
+HENSEL_CAP = 6561
 
 
 def _is_int(x) -> bool:
@@ -218,6 +222,11 @@ class ChainRing:
         if self.family == GALOIS_RING:
             if self.r == 1 or self.s == 1:
                 self.lifted_modulus = [c % self._pm for c in spec.modulus]
+            elif self.q > HENSEL_CAP:
+                raise BudgetExceeded(
+                    f"lifting the modulus of {self.short_name()} works on "
+                    f"X^{self.q - 1} - 1, over budget q <= {HENSEL_CAP}"
+                )
             else:
                 self.lifted_modulus = _polys.hensel_lift_modulus(
                     list(spec.modulus), self.p, self.s
@@ -306,39 +315,30 @@ class ChainRing:
         )
 
     @cached_property
-    def _sum_groups(self):
-        """Tables that add index rows a byte at a time, or None when one
-        digit's sum (up to 2B - 2) does not fit a byte.
+    def _sum_tables(self):
+        """Tables that add index rows a byte at a time, or None when the
+        digit sums (each up to 2B - 2) do not fit one byte, (2B)^d > 256.
 
-        The digits are cut into groups of J, the most with (2B)^J <= 256.
-        Per group, ``code`` re-spells an index's digits in base 2B (None
-        when it is the identity), so the sum of two codes carries into no
-        other digit or byte, and ``fold`` takes such a sum to the group's
-        share of the index of the sum."""
+        ``code`` re-spells an index's digits in base 2B (None when it is the
+        identity), so the sum of two codes carries into no other digit or
+        byte, and ``fold`` takes such a sum to the index of the sum."""
         base, count = self._digits
         wide = 2 * base
-        if wide > 256:
+        if wide**count > 256:
             return None
-        per = 1
-        while wide ** (per + 1) <= 256:
-            per += 1
-        groups = []
-        for first in range(0, count, per):
-            ks = range(first, min(first + per, count))
-            code = _translation(
-                [
-                    sum(i // base**k % base * wide ** (k - first) for k in ks)
-                    for i in range(self.size)
-                ]
-            )
-            fold = _translation(
-                [
-                    sum(y // wide ** (k - first) % wide % base * base**k for k in ks)
-                    for y in range(256)
-                ]
-            )
-            groups.append((None if count == 1 else code, fold))
-        return tuple(groups)
+        code = _translation(
+            [
+                sum(i // base**k % base * wide**k for k in range(count))
+                for i in range(self.size)
+            ]
+        )
+        fold = _translation(
+            [
+                sum(y // wide**k % wide % base * base**k for k in range(count))
+                for y in range(256)
+            ]
+        )
+        return None if count == 1 else code, fold
 
     def short_name(self) -> str:
         return f"{self.family}(p={self.p},r={self.r},s={self.s})"
@@ -447,8 +447,11 @@ class ChainRing:
         if self.family == GALOIS_RING:
             n = self._pm
             return self.make(tuple([(k * x) % n for x in a.coords]))
-        fq, k = self.fq, k % self.p  # integers act through the prime subfield
-        return self.make(tuple([fq.mul(k, x) for x in a.coords]))
+        # Integers act through F_p: scale each base-p digit mod p.
+        fq = self.fq
+        return self.make(
+            tuple([fq.from_coeffs([k * c for c in fq.to_coeffs(x)]) for x in a.coords])
+        )
 
     def pow(self, a: RingElement, e: int) -> RingElement:
         if e < 0:
@@ -488,24 +491,14 @@ class ChainRing:
         if not self.has_tables:
             return [a - c * b for a, b in zip(u, v)]
         w = v.translate(self._mul_bytes[self._neg_tab[c]])  # (-c)*v
-        groups = self._sum_groups
-        if groups is None:
+        tables = self._sum_tables
+        if tables is None:
             return bytes(map(getitem, map(self._add_rows.__getitem__, u), w))
-        n = len(u)
-        if len(groups) == 1:
-            ((code, fold),) = groups
-            if code is not None:
-                u, w = u.translate(code), w.translate(code)
-            total = int.from_bytes(u, "little") + int.from_bytes(w, "little")
-            return total.to_bytes(n, "little").translate(fold)
-        out = 0
-        for code, fold in groups:
-            total = int.from_bytes(u.translate(code), "little") + int.from_bytes(
-                w.translate(code), "little"
-            )
-            part = total.to_bytes(n, "little").translate(fold)
-            out += int.from_bytes(part, "little")
-        return out.to_bytes(n, "little")
+        code, fold = tables
+        if code is not None:
+            u, w = u.translate(code), w.translate(code)
+        total = int.from_bytes(u, "little") + int.from_bytes(w, "little")
+        return total.to_bytes(len(u), "little").translate(fold)
 
     def row_scale(self, c, v):
         """The row c*v, entrywise."""
@@ -729,14 +722,9 @@ class ChainRing:
     def multiplicative_order(self, a: RingElement) -> int:
         if not self.is_unit(a):
             raise ValueError("nonunits have no multiplicative order")
-        out = 1
-        cur = a
-        while cur != self.one:
-            cur = self._mul(cur, a)
-            out += 1
-            if out > self.unit_group_order():
-                raise AssertionError("order search overran the unit group")
-        return out
+        return order_dividing(
+            self.unit_group_order(), lambda d: self.pow(a, d) is self.one
+        )
 
 
 def make_ring(spec: ChainRingSpec | dict | str) -> ChainRing:

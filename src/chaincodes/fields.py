@@ -8,7 +8,6 @@ monic irreducible polynomial over F_p.
 from __future__ import annotations
 
 from . import _polys
-from ._ints import factorize
 
 
 class FqArith:
@@ -58,50 +57,12 @@ class FqArith:
         if self.r == 1:
             return (a * b) % self.p
         prod = _polys.mul(self.to_coeffs(a), self.to_coeffs(b), self.p)
-        prod = _polys.mod_unit_lead(prod, self.modulus, self.p)
-        return self.from_coeffs(prod + [0] * self.r)
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        out = 1
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
+        return self.from_coeffs(_polys.mod_unit_lead(prod, self.modulus, self.p))
 
     def inv(self, a: int) -> int:
+        """a^(q-2), by the square and multiply of Rabin's test."""
         if a == 0:
             raise ZeroDivisionError("0 is not invertible in F_q")
-        return self.pow(a, self.q - 2)
-
-    def order(self, a: int) -> int:
-        """Multiplicative order of a nonzero element."""
-        if a == 0:
-            raise ValueError("0 has no multiplicative order")
-        n = self.q - 1
-        order = n
-        for prime, e in factorize(n) if n > 1 else ():
-            for _ in range(e):
-                if self.pow(a, order // prime) == 1:
-                    order //= prime
-                else:
-                    break
-        return order
-
-    def smallest_primitive(self) -> int:
-        """Least integer encoding a generator of F_q^*."""
-        for a in range(1, self.q):
-            if self.order(a) == self.q - 1:
-                return a
-        raise AssertionError("F_q^* is cyclic; unreachable")
-
-    def poly_eval(self, poly: list[int], x: int) -> int:
-        """Evaluate a polynomial with F_p coefficients at a field element."""
-        out = 0
-        for c in reversed(poly):
-            out = self.add(self.mul(out, x), c % self.p)
-        return out
+        return self.from_coeffs(
+            _polys._fp_pow_mod(self.to_coeffs(a), self.q - 2, self.modulus, self.p)
+        )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import cache, cached_property
 
-from ._ints import factorize
+from ._ints import order_dividing
 from .chainring import ChainRing, RingElement, make_ring, ring_spec
 from .errors import SpecError
 from .modcodes import LinearCode, vdot
@@ -62,21 +62,38 @@ class GaloisExtension:
             self.top = make_ring(
                 ring_spec(base.family, base.p, base.r * m, base.s)
             )
-        prim = self.top.fq.smallest_primitive()
-        self.xi = self.top.teichmuller(self.top.lift(prim))
+        # xi lifts the least residue c that generates F_(q^m)^*.
+        top, n = self.top, self.order
+
+        def residue_order(c):
+            a = top.lift(c)
+            return order_dividing(n, lambda e: top.residue(top.pow(a, e)) == 1)
+
+        prim = next(c for c in range(1, top.q) if residue_order(c) == n)
+        self.xi = top.teichmuller(top.lift(prim))
 
     # -- embedding --------------------------------------------------------
 
     @cached_property
     def _embed_images(self) -> list[RingElement]:
         """w^d theta^t over the base's digit basis.  The residue roots of the
-        base modulus lie in F_q: 0 and the powers of g below."""
-        top, fq = self.top, self.top.fq
-        hbar = [c % self.base.p for c in self.base.spec.modulus]
-        g = fq.pow(top.residue(self.xi), self.order // (self.q - 1))
-        subfield = [0] + [fq.pow(g, k) for k in range(self.q - 1)]
-        root = min(c for c in subfield if fq.poly_eval(hbar, c) == 0)
-        return _digit_basis(top, top.teichmuller(top.lift(root)), self.base)
+        base modulus lie in F_q, whose Teichmuller lifts are 0 and the powers
+        of g below; w is the one whose residue is the least root."""
+        top = self.top
+        g = self.xi_pow(self.order // (self.q - 1))
+        lifts = [top.zero, top.one]
+        while len(lifts) < self.q:
+            lifts.append(top._mul(lifts[-1], g))
+
+        def value(w):  # the base modulus at w, by Horner
+            out = top.zero
+            for c in reversed(self.base.spec.modulus):
+                out = top._mul(out, w) + top.from_int(c)
+            return out
+
+        roots = [w for w in lifts if top.residue(value(w)) == 0]
+        w = min(roots, key=top.residue)
+        return _digit_basis(top, w, self.base)
 
     def embed(self, a: RingElement) -> RingElement:
         """The injective ring homomorphism R -> S."""
@@ -192,12 +209,6 @@ def extend(base: ChainRing, m: int) -> GaloisExtension:
 
 
 def xi_multiplicative_order(ext: GaloisExtension) -> int:
-    """Verified multiplicative order of xi (q^m - 1 by construction)."""
+    """The multiplicative order of xi, computed (q^m - 1 by construction)."""
     top = ext.top
-    n = ext.order
-    if n == 1:
-        return 1
-    for prime, _ in factorize(n):
-        if top.pow(ext.xi, n // prime) == top.one:
-            raise AssertionError("xi is not a Teichmuller generator")
-    return n
+    return order_dividing(ext.order, lambda e: top.pow(ext.xi, e) is top.one)

@@ -2,12 +2,14 @@
 
 import json
 import operator
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaincodes import (
+    BudgetExceeded,
     ChainRingSpec,
     SpecError,
     eu_ring,
@@ -170,6 +172,73 @@ def test_multiplicative_order():
     assert R.multiplicative_order(R.element([2])) == 6
     with pytest.raises(ValueError):
         R.multiplicative_order(R.element([3]))
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [
+        galois_ring(3, 1, 2),  # Z9
+        eu_ring(3, 1, 2),  # F3[u]/(u^2)
+        galois_ring(2, 1, 3),  # Z8
+        galois_ring(2, 2, 2),  # GR(4, 2)
+    ],
+)
+def test_multiplicative_order_is_the_first_power_at_one(ring):
+    for a in ring.elements():
+        if not ring.is_unit(a):
+            continue
+        order, power = 1, a
+        while power is not ring.one:
+            order, power = order + 1, power * a
+        assert ring.multiplicative_order(a) == order
+
+
+def test_multiplicative_order_in_a_large_unit_group(monkeypatch):
+    # 3 has order 2^38 in Z/2^40; a bounded number of products finds it.
+    from chaincodes.chainring import ChainRing
+
+    ring = galois_ring(2, 1, 40)
+    calls = []
+    mul = ChainRing._mul_coords
+
+    def counted(self, a, b):
+        calls.append(None)
+        if len(calls) > 2000:
+            raise AssertionError("order search steps through the group")
+        return mul(self, a, b)
+
+    monkeypatch.setattr(ChainRing, "_mul_coords", counted)
+    start = time.perf_counter()
+    assert ring.multiplicative_order(ring.element([3])) == 2**38
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("ring", [eu_ring(3, 1, 2), eu_ring(2, 2, 2), eu_ring(3, 2, 2)])
+def test_int_mul_is_the_repeated_sum(ring):
+    for a in ring.elements():
+        for k in range(-2 * ring.p, 2 * ring.p + 1):
+            total = ring.zero
+            for _ in range(abs(k)):
+                total = total + a
+            assert ring.int_mul(k, a) is (total if k >= 0 else -total)
+
+
+def test_hensel_lift_is_refused_over_the_cap(monkeypatch):
+    # GR(3^9, 2) would lift its modulus from the dense X^19682 - 1; a lift
+    # that starts fails at once instead of running for minutes.
+    from chaincodes import _polys
+
+    def lift_nothing(hbar, p, s):
+        raise AssertionError("modulus lifted over the cap")
+
+    monkeypatch.setattr(_polys, "hensel_lift_modulus", lift_nothing)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        galois_ring(3, 9, 2)
+    with pytest.raises(BudgetExceeded):
+        make_ring({"family": "GR", "p": 3, "r": 20, "s": 2})
+    assert time.perf_counter() - start < 1.0
+    assert galois_ring(3, 9, 1).q == 3**9  # a field lifts nothing
 
 
 def test_spec_is_validated_once(monkeypatch):

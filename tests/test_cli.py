@@ -223,6 +223,26 @@ def test_ring_info_budget(capsys, monkeypatch):
     assert code == 4
 
 
+def test_modulus_lift_budget(capsys, monkeypatch):
+    # GR(3^9, 2) and the GR(3^20, 2) that ell = 100 over Z9 needs would lift
+    # their modulus from the dense X^(q-1) - 1; a lift that starts fails at
+    # once instead of running for minutes or running out of memory.
+    from chaincodes import _polys
+
+    def lift_nothing(hbar, p, s):
+        raise AssertionError("modulus lifted over the cap")
+
+    monkeypatch.setattr(_polys, "hensel_lift_modulus", lift_nothing)
+    for argv in (
+        ("ring-info", "--ring", '{"family":"GR","p":3,"r":9,"s":2}'),
+        ("build", "trace", "--ring", Z9_SPEC, "--ell", "100", "--set", "1"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 4 and "budget" in err and not out
+
+
 def test_verify(capsys):
     code, out, _ = run(
         capsys, "verify", "--ring", Z9_SPEC, "--ell", "2", "--json"

@@ -15,6 +15,7 @@ from chaincodes import (
     representatives,
     xi_multiplicative_order,
 )
+from chaincodes._ints import factorize
 from chaincodes.galois import _invert_unit_matrix
 
 Z9 = galois_ring(3, 1, 2)
@@ -188,13 +189,55 @@ def test_frobenius_is_the_digit_power(base, m):
             assert ext.frobenius(a, k) is theta_adic_frobenius(ext, a, k)
 
 
+def fq_value(fq, poly, x):
+    """Reference evaluation of an integer polynomial at a residue-field
+    element: Horner over fq.mul and fq.add."""
+    out = 0
+    for c in reversed(poly):
+        out = fq.add(fq.mul(out, x), c % fq.p)
+    return out
+
+
+def fq_pow(fq, a, e):
+    out = 1
+    while e:
+        if e & 1:
+            out = fq.mul(out, a)
+        a = fq.mul(a, a)
+        e >>= 1
+    return out
+
+
+def fq_order(fq, a):
+    order = fq.q - 1
+    for prime, e in factorize(order):
+        for _ in range(e):
+            if fq_pow(fq, a, order // prime) != 1:
+                break
+            order //= prime
+    return order
+
+
+def smallest_primitive(fq):
+    """Reference generator search over the residue field: the least
+    integer encoding an element of order q - 1."""
+    return next(a for a in range(1, fq.q) if fq_order(fq, a) == fq.q - 1)
+
+
+@pytest.mark.parametrize("base,m", ORBIT_EXTENSIONS)
+def test_xi_lifts_the_least_generator(base, m):
+    ext = extend(base, m)
+    top = ext.top
+    assert ext.xi is top.teichmuller(top.lift(smallest_primitive(top.fq)))
+
+
 def coefficient_embed(ext):
     """Reference embedding: the lift w of the smallest root of the base
     modulus among all residues of S, and a = sum_(t,d) c_(t,d) x^d theta^t
     mapped to sum c_(t,d) w^d theta^t coefficient by coefficient."""
     base, top = ext.base, ext.top
     hbar = [c % base.p for c in base.spec.modulus]
-    root = next(c for c in range(top.q) if top.fq.poly_eval(hbar, c) == 0)
+    root = next(c for c in range(top.q) if fq_value(top.fq, hbar, c) == 0)
     powers = [top.pow(top.teichmuller(top.lift(root)), d) for d in range(base.r)]
 
     def combine(coeffs):
@@ -367,7 +410,7 @@ def test_embedding_root_is_the_newton_lift(base):
     ext = extend(base, 2)
     top = ext.top
     hbar = [c % base.p for c in base.spec.modulus]
-    root_res = min(c for c in range(top.q) if top.fq.poly_eval(hbar, c) == 0)
+    root_res = min(c for c in range(top.q) if fq_value(top.fq, hbar, c) == 0)
     root = ext.embed(base.element([0, 1]))
     assert root == newton_root(top, base.lifted_modulus, top.lift(root_res))
     assert top.residue(root) == root_res

@@ -1,6 +1,7 @@
 """Tests for the integer helpers."""
 
 import time
+from math import gcd
 
 import pytest
 
@@ -9,6 +10,7 @@ from chaincodes._ints import (
     factorize,
     integer_root,
     is_prime,
+    multiplicative_order,
     prime_power_base,
 )
 
@@ -70,3 +72,14 @@ def test_integer_root():
             assert root**k <= n < (root + 1) ** k
     assert integer_root(10**40 + 1, 4) == 10**10
     assert integer_root(10**40 - 1, 4) == 10**10 - 1
+
+
+def test_multiplicative_order_is_the_first_power_at_one():
+    for n in range(1, 200):
+        for a in range(n):
+            if gcd(a, n) != 1:
+                continue
+            order, power = 1, a % n
+            while power != 1 % n:
+                order, power = order + 1, power * a % n
+            assert multiplicative_order(a, n) == order
