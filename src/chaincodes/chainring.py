@@ -14,10 +14,12 @@ Teichmuller set Gamma(R), the q solutions of b^q = b, is the image of the
 closed-form lift a -> a^(q^(s-1)), and theta-adic digits are taken in it.
 Coordinates are lowest-degree-first integer coefficients in the canonical
 polynomial basis; integers live in [0, p^s) for ``GR`` and in
-[0, p^r) (residue-field encoding) per u-power for ``EU``.  Each element also
-carries a dense ``index``: its position in ``ring.elements()`` (the
-``element_at`` order, the coordinates read as base-``p^s`` or base-``q``
-digits), so the zero element has index 0.
+[0, p^r) per u-power for ``EU``, where each is an element index of
+``ring.field``, the residue field F_q as the chain ring GR(p, r, 1), and EU
+arithmetic is its coordinate arithmetic (with r = 1, F_p, coordinates add
+as integers mod p).  Each element also carries a dense ``index``: its
+position in ``ring.elements()`` (the ``element_at`` order, the coordinates
+read as base-``p^s`` or base-``q`` digits), so the zero element has index 0.
 
 Rings with at most ``TABLE_CAP`` elements do their arithmetic by table
 lookup on element indices: ``+``, ``-``, ``*``, unit inverses, the
@@ -55,7 +57,6 @@ from . import _polys
 from ._ints import PRIME_TEST_BOUND, is_prime, order_dividing
 from ._record import record
 from .errors import BudgetExceeded, SpecError
-from .fields import FqArith
 
 GALOIS_RING = "GR"
 EU_POWER_SERIES = "EU"
@@ -71,7 +72,9 @@ def _is_int(x) -> bool:
 
 
 def _check_invariants(family, p, r, s) -> None:
-    """Check everything but the modulus; the modulus search assumes it."""
+    """Check everything but the modulus; the modulus search assumes it,
+    and a GR modulus that would be Hensel-lifted over the cap is refused
+    before it is searched for."""
     if family not in (GALOIS_RING, EU_POWER_SERIES):
         raise SpecError(f"unknown ring family {family!r}")
     for name, value in (("p", p), ("r", r), ("s", s)):
@@ -85,6 +88,13 @@ def _check_invariants(family, p, r, s) -> None:
         raise SpecError("r must be >= 1")
     if s < 1:
         raise SpecError("s must be >= 1")
+    # p >= 2, so p^13 > HENSEL_CAP: the capped exponent keeps the power small.
+    lifted = family == GALOIS_RING and r >= 2 and s >= 2
+    if lifted and p ** min(r, HENSEL_CAP.bit_length()) > HENSEL_CAP:
+        raise BudgetExceeded(
+            f"lifting the modulus of GR(p={p},r={r},s={s}) works on "
+            f"X^(q-1) - 1 with q = {p}^{r}, over budget q <= {HENSEL_CAP}"
+        )
 
 
 @record
@@ -217,16 +227,10 @@ class ChainRing:
         self.s = spec.s
         self.q = spec.p**spec.r
         self.size = self.q**spec.s
-        self.fq = FqArith(spec.p, spec.r, list(spec.modulus))
         self._pm = spec.p**spec.s  # coefficient modulus for the GR family
         if self.family == GALOIS_RING:
             if self.r == 1 or self.s == 1:
                 self.lifted_modulus = [c % self._pm for c in spec.modulus]
-            elif self.q > HENSEL_CAP:
-                raise BudgetExceeded(
-                    f"lifting the modulus of {self.short_name()} works on "
-                    f"X^{self.q - 1} - 1, over budget q <= {HENSEL_CAP}"
-                )
             else:
                 self.lifted_modulus = _polys.hensel_lift_modulus(
                     list(spec.modulus), self.p, self.s
@@ -237,6 +241,9 @@ class ChainRing:
             width = self.s
         self._width = width
         self._base = self._pm if self.family == GALOIS_RING else self.q
+        # Coordinates that add as integers mod _base: Z/p^s in GR, and F_p in
+        # EU with r = 1; other EU coordinates add in ``field``.
+        self._modular = self.family == GALOIS_RING or self.r == 1
         self._interned = _LazyTable(self._new_element)
         self.zero = self.make((0,) * width)
         self.one = self.make((1,) + (0,) * (width - 1))
@@ -407,22 +414,22 @@ class ChainRing:
         return self._mul_coords(a, b)
 
     def _add_coords(self, a: RingElement, b: RingElement) -> RingElement:
-        if self.family == GALOIS_RING:
-            n = self._pm
+        if self._modular:
+            n = self._base
             return self.make(
                 tuple([(x + y) % n for x, y in zip(a.coords, b.coords)])
             )
-        fq = self.fq
+        at, add = self.field.element_at, self.field._add_coords
         return self.make(
-            tuple([fq.add(x, y) for x, y in zip(a.coords, b.coords)])
+            tuple([add(at(x), at(y)).index for x, y in zip(a.coords, b.coords)])
         )
 
     def _neg_coords(self, a: RingElement) -> RingElement:
-        if self.family == GALOIS_RING:
-            n = self._pm
+        if self._modular:
+            n = self._base
             return self.make(tuple([(-x) % n for x in a.coords]))
-        fq = self.fq
-        return self.make(tuple([fq.neg(x) for x in a.coords]))
+        at, neg = self.field.element_at, self.field._neg_coords
+        return self.make(tuple([neg(at(x)).index for x in a.coords]))
 
     def _mul_coords(self, a: RingElement, b: RingElement) -> RingElement:
         if self.family == GALOIS_RING:
@@ -431,26 +438,27 @@ class ChainRing:
                 prod = _polys.mod_unit_lead(prod, self.lifted_modulus, self._pm)
             prod = prod + [0] * (self.r - len(prod))
             return self.make(tuple(prod))
-        fq = self.fq
+        F = self.field
         s = self.s
-        out = [0] * s
-        for i, x in enumerate(a.coords):
-            if x == 0:
+        xs = [F.element_at(x) for x in a.coords]
+        ys = [F.element_at(y) for y in b.coords]
+        out = [F.zero] * s
+        for i, x in enumerate(xs):
+            if not x:
                 continue
             for j in range(s - i):
-                y = b.coords[j]
+                y = ys[j]
                 if y:
-                    out[i + j] = fq.add(out[i + j], fq.mul(x, y))
-        return self.make(tuple(out))
+                    out[i + j] = F._add_coords(out[i + j], F._mul_coords(x, y))
+        return self.make(tuple([c.index for c in out]))
 
     def int_mul(self, k: int, a: RingElement) -> RingElement:
-        if self.family == GALOIS_RING:
-            n = self._pm
+        if self._modular:
+            n = self._base
             return self.make(tuple([(k * x) % n for x in a.coords]))
-        # Integers act through F_p: scale each base-p digit mod p.
-        fq = self.fq
+        F = self.field
         return self.make(
-            tuple([fq.from_coeffs([k * c for c in fq.to_coeffs(x)]) for x in a.coords])
+            tuple([F.int_mul(k, F.element_at(x)).index for x in a.coords])
         )
 
     def pow(self, a: RingElement, e: int) -> RingElement:
@@ -581,17 +589,27 @@ class ChainRing:
 
     # -- residue field ----------------------------------------------------
 
+    @cached_property
+    def field(self) -> "ChainRing":
+        """The residue field F_q as the chain ring GR(p, r, 1): the ring
+        itself when it is one."""
+        if self.family == GALOIS_RING and self.s == 1:
+            return self
+        modulus = tuple([c % self.p for c in self.spec.modulus])
+        return make_ring(ChainRingSpec(GALOIS_RING, self.p, self.r, 1, modulus))
+
     def residue(self, a: RingElement) -> int:
-        """The canonical projection onto F_q, as the field-integer encoding."""
+        """The canonical projection onto F_q, as an index of ``field``."""
         if self.family == GALOIS_RING:
-            return self.fq.from_coeffs(a.coords)
+            p = self.p
+            return self.field.make(tuple([c % p for c in a.coords])).index
         return a.coords[0]
 
     def lift(self, c: int) -> RingElement:
-        """The naive coordinatewise lift of a residue-field element."""
+        """The naive coordinatewise lift of an index of ``field``."""
         c %= self.q
         if self.family == GALOIS_RING:
-            return self.make(tuple(self.fq.to_coeffs(c)))
+            return self.make(self.field.element_at(c).coords)
         return self.make((c,) + (0,) * (self.s - 1))
 
     def residue_ring(self) -> "ChainRing":
@@ -710,7 +728,8 @@ class ChainRing:
     def _inv_coords(self, a: RingElement) -> RingElement:
         if not self.is_unit(a):
             raise ZeroDivisionError("element is not a unit")
-        b = self.lift(self.fq.inv(self.residue(a)))
+        F = self.field
+        b = self.lift(F.pow(F.element_at(self.residue(a)), self.q - 2).index)
         two = self.from_int(2)
         for _ in range(self.s):  # Newton: precision doubles per step
             b = self._mul(b, two - self._mul(a, b))

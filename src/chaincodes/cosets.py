@@ -163,7 +163,8 @@ def count_classes(universe: CosetUniverse) -> int:
 
 
 def class_count_formula(universe: CosetUniverse) -> int:
-    """Divisor-sum cross-check: sum over d | ell of phi(d)/ord_d(q)."""
+    """Number of q-cyclotomic cosets by the divisor sum over d | ell of
+    phi(d)/ord_d(q), without listing them; ``count_classes`` cross-checks."""
     total = 0
     for d in divisors(universe.ell):
         total += euler_phi(d) // multiplicative_order(universe.q, d)
@@ -301,5 +302,6 @@ def make_partition(
 
 
 def partition_count(universe: CosetUniverse, s: int) -> int:
-    """(s+1)^(number of cosets): how many (q, s)-cyclotomic partitions exist."""
-    return (s + 1) ** count_classes(universe)
+    """(s+1)^(number of cosets): how many (q, s)-cyclotomic partitions exist,
+    by the divisor-sum count, without listing the cosets."""
+    return (s + 1) ** class_count_formula(universe)

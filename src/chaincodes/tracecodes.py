@@ -21,8 +21,8 @@ from .cosets import (
     CosetSet,
     CosetUniverse,
     CyclotomicPartition,
+    class_count_formula,
     coset,
-    count_classes,
     cosets,
     make_partition,
     representatives,
@@ -207,8 +207,9 @@ def irreducible_components(code: LinearCode):
 
 def count_cyclic_codes(ring: ChainRing, ell: int) -> tuple[int, int]:
     """((s+1)^n, 2^n) for n the number of q-cyclotomic cosets mod ell:
-    total cyclic codes and free cyclic codes."""
-    n = count_classes(CosetUniverse(ell, ring.q))
+    total cyclic codes and free cyclic codes.  n comes from the divisor-sum
+    count, so no coset is listed."""
+    n = class_count_formula(CosetUniverse(ell, ring.q))
     return (ring.s + 1) ** n, 2**n
 
 

@@ -1,13 +1,15 @@
-"""Arithmetic in the residue field F_q, q = p^r.
+"""Reference arithmetic in the residue field F_q, q = p^r, for the tests.
 
 Field elements are integers in [0, q): the base-p digits of the integer are
 the coefficients of the polynomial basis {1, x, ..., x^(r-1)} modulo a fixed
-monic irreducible polynomial over F_p.
+monic irreducible polynomial over F_p.  The library computes in F_q as the
+chain ring GR(p, r, 1); this separate copy keeps the tests' references
+independent of that code.
 """
 
 from __future__ import annotations
 
-from . import _polys
+from chaincodes import _polys
 
 
 class FqArith:
@@ -66,3 +68,8 @@ class FqArith:
         return self.from_coeffs(
             _polys._fp_pow_mod(self.to_coeffs(a), self.q - 2, self.modulus, self.p)
         )
+
+
+def reference_field(ring) -> FqArith:
+    """The reference arithmetic of a chain ring's residue field."""
+    return FqArith(ring.p, ring.r, list(ring.spec.modulus))

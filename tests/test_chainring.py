@@ -2,9 +2,11 @@
 
 import json
 import operator
+import random
 import time
 
 import pytest
+from fq_reference import reference_field
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,10 +15,12 @@ from chaincodes import (
     ChainRingSpec,
     SpecError,
     eu_ring,
+    extend,
     galois_ring,
     make_ring,
     ring_spec,
 )
+from chaincodes.chainring import HENSEL_CAP
 
 # Both families at p in {2, 3, 5}, r in {1, 2}, s in {1, 2, 3}: table rings
 # and rings above chainring.TABLE_CAP (up to 5^6 elements).
@@ -144,9 +148,112 @@ def test_residue_field():
     assert R.residue(R.one) == 1
     res = R.residue_ring()
     assert res.size == 4 and res.s == 1
+    fq = reference_field(res)
     for a in R.elements():
         for b in R.elements():
-            assert R.residue(a * b) == res.fq.mul(R.residue(a), R.residue(b))
+            assert R.residue(a * b) == fq.mul(R.residue(a), R.residue(b))
+
+
+def eu_reference_mul(fq, x, y):
+    """The product in F_q[u]/(u^s), coordinates as FqArith integers."""
+    out = [0] * len(x)
+    for i, a in enumerate(x):
+        for j in range(len(x) - i):
+            out[i + j] = fq.add(out[i + j], fq.mul(a, y[j]))
+    return tuple(out)
+
+
+def eu_reference_inv(fq, x):
+    """The inverse power series b of x mod u^s: b_0 = 1/x_0 and
+    b_k = -b_0 * sum_(i=1..k) x_i b_(k-i)."""
+    b = [fq.inv(x[0])]
+    for k in range(1, len(x)):
+        acc = 0
+        for i in range(1, k + 1):
+            acc = fq.add(acc, fq.mul(x[i], b[k - i]))
+        b.append(fq.neg(fq.mul(b[0], acc)))
+    return tuple(b)
+
+
+def int_scale(fq, k, x):
+    return fq.from_coeffs([k * c for c in fq.to_coeffs(x)])
+
+
+def reference_lift(ring, fq, c):
+    if ring.family == "EU":
+        return (c,) + (0,) * (ring.s - 1)
+    return tuple(fq.to_coeffs(c))
+
+
+def check_field_arithmetic(ring, pairs):
+    """+, -, *, int_mul, inv, residue and lift against FqArith on the given
+    pairs: exactly for EU, whose coordinates are F_q integers, and through
+    the residue map for GR."""
+    fq = reference_field(ring)
+    res = ring.residue
+    for a, b in pairs:
+        if ring.family == "EU":
+            x, y = a.coords, b.coords
+            assert (a + b).coords == tuple(map(fq.add, x, y))
+            assert (a - b).coords == tuple(map(fq.add, x, map(fq.neg, y)))
+            assert (a * b).coords == eu_reference_mul(fq, x, y)
+            assert res(a) == x[0]
+        else:
+            assert res(a) == fq.from_coeffs(a.coords)
+            assert res(a + b) == fq.add(res(a), res(b))
+            assert res(a - b) == fq.add(res(a), fq.neg(res(b)))
+            assert res(a * b) == fq.mul(res(a), res(b))
+        assert ring.lift(res(a)).coords == reference_lift(ring, fq, res(a))
+        for k in (-ring.p - 1, -1, 0, 2, ring.p + 2):
+            scaled = ring.int_mul(k, a)
+            if ring.family == "EU":
+                assert scaled.coords == tuple(int_scale(fq, k, x) for x in a.coords)
+            else:
+                assert res(scaled) == int_scale(fq, k, res(a))
+        if res(a):
+            inv = ring.inv(a)
+            assert a * inv is ring.one
+            assert res(inv) == fq.inv(res(a))
+            if ring.family == "EU":
+                assert inv.coords == eu_reference_inv(fq, a.coords)
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [
+        eu_ring(3, 1, 2),
+        eu_ring(2, 2, 2),
+        eu_ring(3, 2, 2),
+        galois_ring(2, 2, 2),
+        galois_ring(3, 2, 2),
+    ],
+)
+def test_field_arithmetic_on_every_pair(ring):
+    elems = ring.elements()
+    check_field_arithmetic(ring, [(a, b) for a in elems for b in elems])
+    fq = reference_field(ring)
+    for c in range(ring.q):
+        assert ring.lift(c).coords == reference_lift(ring, fq, c)
+        assert ring.residue(ring.lift(c)) == c
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [eu_ring(3, 4, 2), eu_ring(3, 6, 2), eu_ring(2, 3, 3), galois_ring(3, 4, 2)],
+)
+def test_field_arithmetic_on_samples(ring):
+    rng = random.Random(20170129)
+    elems = [ring.element_at(rng.randrange(ring.size)) for _ in range(400)]
+    check_field_arithmetic(ring, list(zip(elems[::2], elems[1::2])))
+
+
+@pytest.mark.parametrize(
+    "ring", [eu_ring(3, 2, 2), galois_ring(3, 4, 2), galois_ring(2, 3, 1)]
+)
+def test_field_is_the_galois_ring_of_degree_one(ring):
+    assert ring.field is galois_ring(ring.p, ring.r, 1)
+    assert ring.field.field is ring.field
+    assert ring.residue_ring() is eu_ring(ring.p, ring.r, 1)
 
 
 def test_spec_validation():
@@ -239,6 +346,28 @@ def test_hensel_lift_is_refused_over_the_cap(monkeypatch):
         make_ring({"family": "GR", "p": 3, "r": 20, "s": 2})
     assert time.perf_counter() - start < 1.0
     assert galois_ring(3, 9, 1).q == 3**9  # a field lifts nothing
+
+
+def test_hensel_cap_is_checked_before_the_modulus_search(monkeypatch):
+    # ell = 1009 over Z9 needs GR(3^168, 2), whose modulus search alone ran
+    # past 20 s before the cap was checked; a search that starts fails.
+    from chaincodes import _polys
+
+    z9 = galois_ring(3, 1, 2)
+
+    def search_nothing(p, r):
+        raise AssertionError("modulus searched for a ring over the cap")
+
+    monkeypatch.setattr(_polys, "smallest_irreducible", search_nothing)
+    start = time.perf_counter()
+    for p, r in ((3, 168), (3, 9), (2, 10**9)):
+        with pytest.raises(BudgetExceeded):
+            ring_spec("GR", p, r, 2)
+        with pytest.raises(BudgetExceeded):
+            make_ring({"family": "GR", "p": p, "r": r, "s": 2})
+    with pytest.raises(BudgetExceeded):
+        extend(z9, 168)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_spec_is_validated_once(monkeypatch):
@@ -390,9 +519,16 @@ def ring_spec_docs(draw):
     | st.text(max_size=12)
 )
 def test_ring_spec_json_raises_only_spec_error(doc):
+    # ... or BudgetExceeded, for exactly the GR specs whose modulus lift is
+    # over the cap.
     try:
         spec = ChainRingSpec.from_json(doc)
     except SpecError:
+        return
+    except BudgetExceeded:
+        doc = json.loads(doc) if isinstance(doc, str) else doc
+        assert doc["family"] == "GR" and min(doc["r"], doc["s"]) >= 2
+        assert doc["p"] ** doc["r"] > HENSEL_CAP
         return
     assert ChainRingSpec.from_json(spec.to_json()) == spec
     assert ChainRingSpec.from_json(json.dumps(spec.to_json())) == spec

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import contextlib
+import importlib
 import io
 import json
 import time
@@ -201,6 +202,24 @@ def test_enumerate_cyclic_budget(capsys, monkeypatch):
     assert code == 4
 
 
+def test_enumerate_cyclic_budget_lists_no_coset(capsys, monkeypatch):
+    # The code count comes from the divisor sum: listing the cosets took
+    # 8 s at ell = 10^7 + 1 and ran past 15 s at 3*10^8 + 1.
+    def list_nothing(universe):
+        raise AssertionError("cosets listed to count them")
+
+    # The package's own ``cosets`` is the function; patch the module's.
+    module = importlib.import_module("chaincodes.cosets")
+    monkeypatch.setattr(module, "cosets", list_nothing)
+    for ell in ("10000001", "300000001"):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "enumerate-cyclic", "--ring", Z9_SPEC, "--ell", ell
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 4 and "budget" in err and not out
+
+
 def test_ring_info_budget(capsys, monkeypatch):
     # q beyond the budget is refused before the Teichmuller set is listed;
     # listing it is replaced by a failure, so a missing check cannot hang.
@@ -227,15 +246,27 @@ def test_modulus_lift_budget(capsys, monkeypatch):
     # GR(3^9, 2) and the GR(3^20, 2) that ell = 100 over Z9 needs would lift
     # their modulus from the dense X^(q-1) - 1; a lift that starts fails at
     # once instead of running for minutes or running out of memory.
+    # ell = 1009 needs GR(3^168, 2): the cap is checked before the modulus
+    # search, which alone ran past 20 s there.
     from chaincodes import _polys
+    from chaincodes.chainring import HENSEL_CAP
 
     def lift_nothing(hbar, p, s):
         raise AssertionError("modulus lifted over the cap")
 
+    search = _polys.smallest_irreducible
+
+    def search_under_the_cap(p, r):
+        if p**r > HENSEL_CAP:
+            raise AssertionError("modulus searched for a ring over the cap")
+        return search(p, r)
+
     monkeypatch.setattr(_polys, "hensel_lift_modulus", lift_nothing)
+    monkeypatch.setattr(_polys, "smallest_irreducible", search_under_the_cap)
     for argv in (
         ("ring-info", "--ring", '{"family":"GR","p":3,"r":9,"s":2}'),
         ("build", "trace", "--ring", Z9_SPEC, "--ell", "100", "--set", "1"),
+        ("build", "trace", "--ring", Z9_SPEC, "--ell", "1009", "--set", "1"),
     ):
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)

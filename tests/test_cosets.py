@@ -1,5 +1,8 @@
 """Tests for cyclotomic cosets, set operators, and partitions."""
 
+import importlib
+import time
+
 import pytest
 
 from chaincodes import (
@@ -11,6 +14,8 @@ from chaincodes import (
     coset,
     cosets,
     count_classes,
+    count_cyclic_codes,
+    galois_ring,
     make_partition,
     partition_count,
     representatives,
@@ -158,3 +163,25 @@ def test_partition_star_dual_zero_code():
 def test_partition_count():
     universe = CosetUniverse(20, 3)
     assert partition_count(universe, 2) == 3**7
+
+
+def test_counts_list_no_coset(monkeypatch):
+    # Both counts come from the divisor sum: listing the cosets took 8 s
+    # at ell = 10^7 + 1 and ran past 15 s at 3*10^8 + 1.
+    z9 = galois_ring(3, 1, 2)
+
+    def list_nothing(universe):
+        raise AssertionError("cosets listed to count them")
+
+    # The package's own ``cosets`` is the function; patch the module's.
+    module = importlib.import_module("chaincodes.cosets")
+    monkeypatch.setattr(module, "cosets", list_nothing)
+    assert partition_count(CosetUniverse(20, 3), 2) == 3**7
+    assert count_cyclic_codes(z9, 20) == (3**7, 2**7)
+    start = time.perf_counter()
+    for ell in (10**7 + 1, 3 * 10**8 + 1):
+        universe = CosetUniverse(ell, z9.q)
+        n = class_count_formula(universe)
+        assert partition_count(universe, 2) == 3**n
+        assert count_cyclic_codes(z9, ell) == (3**n, 2**n)
+    assert time.perf_counter() - start < 1.0

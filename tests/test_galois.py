@@ -4,6 +4,7 @@ import random
 from itertools import product
 
 import pytest
+from fq_reference import reference_field
 
 from chaincodes import (
     LinearCode,
@@ -228,7 +229,8 @@ def smallest_primitive(fq):
 def test_xi_lifts_the_least_generator(base, m):
     ext = extend(base, m)
     top = ext.top
-    assert ext.xi is top.teichmuller(top.lift(smallest_primitive(top.fq)))
+    prim = smallest_primitive(reference_field(top))
+    assert ext.xi is top.teichmuller(top.lift(prim))
 
 
 def coefficient_embed(ext):
@@ -237,7 +239,8 @@ def coefficient_embed(ext):
     mapped to sum c_(t,d) w^d theta^t coefficient by coefficient."""
     base, top = ext.base, ext.top
     hbar = [c % base.p for c in base.spec.modulus]
-    root = next(c for c in range(top.q) if fq_value(top.fq, hbar, c) == 0)
+    fq, base_fq = reference_field(top), reference_field(base)
+    root = next(c for c in range(top.q) if fq_value(fq, hbar, c) == 0)
     powers = [top.pow(top.teichmuller(top.lift(root)), d) for d in range(base.r)]
 
     def combine(coeffs):
@@ -251,7 +254,7 @@ def coefficient_embed(ext):
             return combine(a.coords)
         out = top.zero
         for t, c in enumerate(a.coords):
-            out = out + combine(base.fq.to_coeffs(c)) * top.theta_pow(t)
+            out = out + combine(base_fq.to_coeffs(c)) * top.theta_pow(t)
         return out
 
     return embed
@@ -410,7 +413,8 @@ def test_embedding_root_is_the_newton_lift(base):
     ext = extend(base, 2)
     top = ext.top
     hbar = [c % base.p for c in base.spec.modulus]
-    root_res = min(c for c in range(top.q) if fq_value(top.fq, hbar, c) == 0)
+    fq = reference_field(top)
+    root_res = min(c for c in range(top.q) if fq_value(fq, hbar, c) == 0)
     root = ext.embed(base.element([0, 1]))
     assert root == newton_root(top, base.lifted_modulus, top.lift(root_res))
     assert top.residue(root) == root_res
