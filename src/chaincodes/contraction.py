@@ -6,6 +6,9 @@ gamma-constacyclic codes to cyclic codes; contraction inverts it.  A cyclic
 code of length un is a concatenation exactly when every exponent coset of
 its information blocks sits in a single residue class omega mod u, and then
 gamma = beta^(-omega) for beta the Teichmuller root of unity of order u.
+The dual of the contraction is gamma^(-1)-constacyclic, so it is itself
+the contraction of a cyclic code: the one whose partition is the star dual,
+with its information exponents in the class -omega.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from ._record import record
 from .chainring import RingElement
 from .cosets import CyclotomicPartition
 from .errors import SpecError
-from .modcodes import LinearCode, is_constacyclic, zero_code
+from .modcodes import LinearCode, full_code, is_constacyclic, zero_code
 from .tracecodes import code_from_partition, context, decompose_cyclic
 
 
@@ -58,6 +61,24 @@ def concatenation_code(code: LinearCode, gamma: RingElement, u: int) -> LinearCo
     return out
 
 
+def _contract_rows(code: LinearCode, gamma: RingElement, u: int) -> LinearCode:
+    """The length-n code whose gamma-concatenation is the length-u*n code:
+    the last block of each standard-form row, once the row is checked to be
+    the concatenation of that block."""
+    n = code.length // u
+    rows = []
+    for g in code._sf:
+        tail = g[-n:]
+        if _concatenate_row(tail, gamma, u) != g:
+            raise AssertionError(
+                "generator does not follow the concatenation pattern"
+            )
+        rows.append(tail)
+    contracted = LinearCode(code.ring, n, rows)
+    assert contracted.type == code.type
+    return contracted
+
+
 @record
 class ContractionResult:
     code: LinearCode  # the contracted gamma-constacyclic code
@@ -89,16 +110,7 @@ def contract_code(code: LinearCode, u: int) -> ContractionResult:
         )
     ctx = context(ring, code.length)
     gamma = ctx.ext.unembed(ctx.eta_pow(-omega * n))
-    rows = []
-    for g in code._sf:
-        tail = g[-n:]
-        if _concatenate_row(tail, gamma, u) != g:
-            raise AssertionError(
-                "generator does not follow the concatenation pattern"
-            )
-        rows.append(tail)
-    contracted = LinearCode(ring, n, rows)
-    assert contracted.type == code.type
+    contracted = _contract_rows(code, gamma, u)
     return ContractionResult(contracted, gamma, omega, partition)
 
 
@@ -109,23 +121,24 @@ def dual_contraction_partition(
     return result.partition.star_dual(u, result.omega)
 
 
-def _pull_back(dual_big: LinearCode, gamma: RingElement, u: int) -> LinearCode:
-    """The preimage under the concatenation map of the code whose dual is
-    dual_big.
+def preimage_code(code: LinearCode, gamma: RingElement, u: int) -> LinearCode:
+    """The preimage of a length-u*n code under the concatenation map.
 
     Uses the adjoint: <concat(k), d> = <k, T(d)> with T summing the blocks
     of d scaled by the matching gamma powers, so the preimage is the dual
-    of T applied to the generators of dual_big.
+    of T applied to the generators of the code's dual.
     """
-    ring = dual_big.ring
-    n = dual_big.length // u
+    if u < 1 or code.length % u:
+        raise SpecError(f"u = {u} must divide the length {code.length}")
+    ring = code.ring
+    n = code.length // u
     # row_axpy subtracts, so the blocks after the first are scaled by
     # -gamma^(u-1-b).
     scales = [ring.encode(ring.pow(gamma, u - 1))] + [
         ring.encode(-ring.pow(gamma, u - 1 - b)) for b in range(1, u)
     ]
     rows = []
-    for g in dual_big._sf:
+    for g in code.dual()._sf:
         row = ring.row_scale(scales[0], g[:n])
         for b in range(1, u):
             row = ring.row_axpy(row, scales[b], g[b * n : (b + 1) * n])
@@ -133,26 +146,19 @@ def _pull_back(dual_big: LinearCode, gamma: RingElement, u: int) -> LinearCode:
     return LinearCode(ring, n, rows).dual()
 
 
-def preimage_code(code: LinearCode, gamma: RingElement, u: int) -> LinearCode:
-    """The preimage of a length-u*n code under the concatenation map."""
-    if u < 1 or code.length % u:
-        raise SpecError(f"u = {u} must divide the length {code.length}")
-    return _pull_back(code.dual(), gamma, u)
-
-
 def contract_dual(result: ContractionResult, u: int) -> LinearCode:
-    """dual(K) through the star-dual partition of the concatenation.
+    """dual(K) as the contraction of the cyclic code of the star dual.
 
-    The star dual is the partition of the cyclic code D whose preimage is
-    dual(K), so its tilde dual is the partition of dual(D).  That code is
-    built directly and pulled back through the adjoint of the
-    concatenation map: dual() is called neither on K nor on D, only once
-    on the length-n pull-back T(dual(D)).
+    dual(K) is gamma^(-1)-constacyclic, and its gamma^(-1)-concatenation is
+    the cyclic code D of length u*n whose partition is the star dual
+    (``dual_contraction_partition``).  So D is built from that partition
+    and contracted like ``contract_code`` contracts, with no dual() call.
+    The zero code's dual is the full code, which no concatenation gives.
     """
-    ring = result.code.ring
-    ctx = context(ring, result.code.length * u)
-    dual_big = code_from_partition(
-        ctx, dual_contraction_partition(result, u).tilde_dual()
+    ring, n = result.code.ring, result.code.length
+    if result.code.is_zero():
+        return full_code(ring, n)
+    big = code_from_partition(
+        context(ring, n * u), dual_contraction_partition(result, u)
     )
-    # The dual contraction is gamma^(-1)-constacyclic.
-    return _pull_back(dual_big, ring.inv(result.gamma), u)
+    return _contract_rows(big, ring.inv(result.gamma), u)

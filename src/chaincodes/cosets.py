@@ -122,7 +122,9 @@ class CosetSet:
         return frozenset(z % u for z in self.members)
 
     def star_dual(self, u: int, omega: int) -> "CosetSet":
-        """Elements of the dual set congruent to -omega mod u."""
+        """Elements of the dual set congruent to -omega mod u: for the
+        information set of a partition in the class omega, the level-0
+        block of ``CyclotomicPartition.star_dual``."""
         target = (-omega) % u
         return CosetSet(
             self.universe,
@@ -228,11 +230,18 @@ class CyclotomicPartition:
         return min(residues, default=None)
 
     def star_dual(self, u: int, omega: int | None = None) -> "CyclotomicPartition":
-        """The partition of the dual code of a contractible code.
+        """The partition of the cyclic code whose contraction is the dual of
+        this code's contraction.
 
         Requires the information exponents to sit in a single residue class
-        omega mod u (``info_residue``).  With all information blocks empty
-        the map degenerates to the full-code partition.
+        omega mod u (``info_residue``).  The members of A_s in that class,
+        negated, form level 0; levels 1..s-1 are A_(s-1), ..., A_1 negated,
+        and the rest of A_s with A_0, negated, forms level s.  So every
+        information exponent of the result lies in the class -omega, that
+        of gamma^(-1) = beta^omega, and its level-0 block is
+        ``A.star_dual(u, omega)`` for A the information set.  With all
+        information blocks empty the map degenerates to the full-code
+        partition.
         """
         derived = self.info_residue(u)
         if derived is None:  # the zero code: its dual is everything
@@ -245,10 +254,9 @@ class CyclotomicPartition:
                 f"stated omega {omega} does not match derived {derived}"
             )
         a_s = self.blocks[self.s]
-        target = (-omega) % u
         a_s_star = CosetSet(
             self.universe,
-            frozenset(z for z in a_s.members if z % u == target),
+            frozenset(z for z in a_s.members if z % u == derived),
         )
         a_0_tri = self.blocks[0].union(a_s.difference(a_s_star))
         new_blocks = [a_s_star, *self.blocks[self.s - 1 : 0 : -1], a_0_tri]

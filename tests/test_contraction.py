@@ -2,6 +2,7 @@
 
 import itertools
 import warnings
+from math import gcd
 
 import pytest
 
@@ -17,6 +18,7 @@ from chaincodes import (
     contract_dual,
     code_from_partition,
     constashift,
+    cosets,
     dual_contraction_partition,
     eu_ring,
     full_code,
@@ -30,6 +32,8 @@ from chaincodes import (
 from chaincodes import oracle
 
 Z9 = galois_ring(3, 1, 2)
+Z25 = galois_ring(5, 1, 2)
+GR4 = galois_ring(2, 2, 2)  # GR(4, 2)
 NEG = Z9.element([8])  # -1
 
 
@@ -85,18 +89,97 @@ def test_contract_paper_instance_20():
     assert concatenation_code(k, NEG, 2).same_code(c)
 
 
-@pytest.mark.parametrize("ring", [Z9, eu_ring(3, 1, 2)])
-def test_contract_dual_matches_dual(ring):
-    # Every length-20 code whose information exponents are odd: the odd
-    # cosets take any level, the even ones level s.
-    ctx = context(ring, 20)
-    odd = [z for z in representatives(ctx.universe) if z % 2]
-    for levels in itertools.product(range(ring.s + 1), repeat=len(odd)):
-        assignment = dict.fromkeys(representatives(ctx.universe), ring.s)
-        assignment.update(zip(odd, levels))
-        c = code_from_partition(ctx, make_partition(ctx.universe, ring.s, assignment))
-        res = contract_code(c, 2)
-        assert contract_dual(res, 2).same_code(res.code.dual())
+def contractible_codes(ring, ell, u):
+    """The zero code, then for each class omega mod u every code whose
+    information cosets all lie in that class: those cosets take any level,
+    the others level s."""
+    ctx = context(ring, ell)
+    s = ring.s
+
+    def code(levels):
+        return code_from_partition(ctx, make_partition(ctx.universe, s, levels))
+
+    reps = representatives(ctx.universe)
+    yield code(dict.fromkeys(reps, s))
+    for omega in range(u):
+        free = [
+            min(c.members)
+            for c in cosets(ctx.universe)
+            if c.mod_u_image(u) == {omega}
+        ]
+        for levels in itertools.product(range(s + 1), repeat=len(free)):
+            if min(levels, default=s) < s:
+                assignment = dict.fromkeys(reps, s)
+                assignment.update(zip(free, levels))
+                yield code(assignment)
+
+
+def contract_quietly(code, u):
+    """contract_code without the warning for gcd(omega, u) > 1."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return contract_code(code, u)
+
+
+def adjoint_pull_back_dual(result, u):
+    """dual(K) the old way: build the dual of the star-dual cyclic code from
+    its tilde dual, and pull it back through the adjoint of the
+    gamma^(-1)-concatenation map, T(d) = sum_b gamma^(-(u-1-b)) d_b; the
+    preimage is the dual of the span of T(d) over the rows d."""
+    ring, n = result.code.ring, result.code.length
+    ctx = context(ring, n * u)
+    dual_big = code_from_partition(
+        ctx, dual_contraction_partition(result, u).tilde_dual()
+    )
+    gamma = ring.inv(result.gamma)
+    rows = []
+    for d in dual_big.generators:
+        row = [ring.zero] * n
+        for b in range(u):
+            scale = ring.pow(gamma, u - 1 - b)
+            for j in range(n):
+                row[j] = row[j] + scale * d[b * n + j]
+        rows.append(row)
+    return LinearCode(ring, n, rows).dual()
+
+
+@pytest.mark.parametrize(
+    "ring,ell,u",
+    [
+        pytest.param(Z9, 20, 2, id="Z9-20-u2"),
+        pytest.param(eu_ring(3, 1, 2), 20, 2, id="F3u2-20-u2"),
+        pytest.param(galois_ring(3, 1, 3), 20, 2, id="Z27-20-u2"),
+        pytest.param(Z25, 12, 4, id="Z25-12-u4"),
+        pytest.param(GR4, 15, 3, id="GR4-15-u3"),
+    ],
+)
+def test_contract_dual_matches_dual(ring, ell, u):
+    seen = set()
+    for c in contractible_codes(ring, ell, u):
+        res = contract_quietly(c, u)
+        seen.add((res.omega, gcd(res.omega, u) > 1, res.code.is_zero()))
+        got = contract_dual(res, u)
+        assert got.same_code(res.code.dual())
+        assert got.key() == adjoint_pull_back_dual(res, u).key()
+    # every class, the zero code and a gcd(omega, u) > 1 case were seen
+    assert {omega for omega, _, _ in seen} == set(range(u))
+    assert any(zero for _, _, zero in seen)
+    assert any(big and not zero for _, big, zero in seen)
+
+
+@pytest.mark.parametrize(
+    "ring,ell,u",
+    [
+        pytest.param(Z25, 12, 4, id="Z25-12-u4"),
+        pytest.param(GR4, 9, 3, id="GR4-9-u3"),
+    ],
+)
+def test_contract_dual_matches_oracle(ring, ell, u):
+    # n = 3, so the brute-force dual walks all of R^3
+    for c in contractible_codes(ring, ell, u):
+        res = contract_quietly(c, u)
+        brute = oracle.brute_dual(res.code)
+        assert oracle.same_words(contract_dual(res, u), brute)
 
 
 def test_contract_zero_code():

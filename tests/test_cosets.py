@@ -2,8 +2,11 @@
 
 import importlib
 import time
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaincodes import (
     CosetUniverse,
@@ -158,6 +161,41 @@ def test_partition_star_dual_zero_code():
     p = make_partition(universe, 2, {0: 2, 1: 2, 2: 2, 5: 2})
     dual = p.star_dual(2)
     assert dual.blocks[0] == universe.full()
+
+
+@st.composite
+def one_class_partitions(draw):
+    """(u, omega, p): a partition of Sigma_ell, u | ell, whose information
+    cosets all lie in the class omega mod u (possibly none of them)."""
+    u = draw(st.sampled_from([2, 3, 4]))
+    ell = u * draw(st.integers(1, 12))
+    coprime = [q for q in (2, 3, 4, 5, 7, 9, 11, 13) if gcd(q, ell) == 1]
+    q = draw(st.sampled_from(coprime))
+    s = draw(st.integers(1, 3))
+    omega = draw(st.integers(0, u - 1))
+    universe = CosetUniverse(ell, q)
+    levels = dict.fromkeys(representatives(universe), s)
+    for c in cosets(universe):
+        if c.mod_u_image(u) == {omega}:
+            levels[min(c.members)] = draw(st.integers(0, s))
+    return u, omega, make_partition(universe, s, levels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(one_class_partitions())
+def test_partition_star_dual_level_0_is_set_star_dual(case):
+    # The partition's level 0 and the set-level star dual of the
+    # information set A both keep the class -omega, that of gamma^(-1).
+    u, omega, p = case
+    info = p.universe.empty()
+    for b in p.blocks[: p.s]:
+        info = info.union(b)
+    dual = p.star_dual(u)
+    if not info.members:  # the zero code: the full-code partition
+        assert dual.blocks[0] == p.universe.full()
+        return
+    assert dual.blocks[0] == info.star_dual(u, omega)
+    assert dual.info_residue(u) in (None, (-omega) % u)
 
 
 def test_partition_count():
