@@ -9,7 +9,6 @@ from .chainring import (
     eu_ring,
     galois_ring,
     make_ring,
-    ring_spec,
 )
 from .contraction import (
     ContractionResult,

@@ -65,55 +65,71 @@ PAIR_CAP = 16  # rings with at most this many elements pack index pairs in a byt
 # The largest q whose GR modulus is Hensel-lifted: the lift works on the
 # dense X^(q-1) - 1 and takes seconds at q = 3^8.
 HENSEL_CAP = 6561
+# The largest residue degree r of any ring, extension tops r*m included.
+# It admits ell = 1000 over F_3 (m = 100); the degree-100 extension of
+# F3[u]/(u^2) takes about 30 s to build, 3 s of it the modulus search.
+DEGREE_CAP = 100
 
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _check_invariants(family, p, r, s) -> None:
-    """Check everything but the modulus; the modulus search assumes it,
-    and a GR modulus that would be Hensel-lifted over the cap is refused
-    before it is searched for."""
-    if family not in (GALOIS_RING, EU_POWER_SERIES):
-        raise SpecError(f"unknown ring family {family!r}")
-    for name, value in (("p", p), ("r", r), ("s", s)):
-        if not _is_int(value):
-            raise SpecError(f"{name} must be an integer, got {value!r}")
-    if p >= PRIME_TEST_BOUND:
-        raise SpecError(f"p = {p} is too large to certify as prime")
-    if not is_prime(p):
-        raise SpecError(f"p = {p} is not prime")
-    if r < 1:
-        raise SpecError("r must be >= 1")
-    if s < 1:
-        raise SpecError("s must be >= 1")
-    # p >= 2, so p^13 > HENSEL_CAP: the capped exponent keeps the power small.
-    lifted = family == GALOIS_RING and r >= 2 and s >= 2
-    if lifted and p ** min(r, HENSEL_CAP.bit_length()) > HENSEL_CAP:
-        raise BudgetExceeded(
-            f"lifting the modulus of GR(p={p},r={r},s={s}) works on "
-            f"X^(q-1) - 1 with q = {p}^{r}, over budget q <= {HENSEL_CAP}"
-        )
-
-
 @record
 class ChainRingSpec:
-    """Defining data of a concrete finite chain ring."""
+    """Defining data of a concrete finite chain ring, checked when made.
+
+    The invariants are checked, and a ring over the degree or Hensel budget
+    refused, before any modulus is searched for or tested.  Without a
+    modulus the canonical one, ``smallest_irreducible(p, r)``, is derived;
+    a given modulus is stored reduced mod p, so each spelling of it gives
+    one spec, and is tested for irreducibility once."""
 
     family: str
     p: int
     r: int
     s: int
-    modulus: tuple[int, ...]  # monic degree-r polynomial over F_p, low first
+    modulus: tuple[int, ...] = None  # monic of degree r over F_p, low first
 
-    def validate(self) -> None:
-        _check_invariants(self.family, self.p, self.r, self.s)
-        mod = [c % self.p for c in self.modulus]
-        if len(mod) != self.r + 1 or mod[-1] != 1:
-            raise SpecError("modulus must be monic of degree r")
-        if not _polys.is_irreducible_fp(mod, self.p):
-            raise SpecError("modulus is reducible over F_p")
+    def __post_init__(self):
+        family, p, r, s = self.family, self.p, self.r, self.s
+        modulus = self.modulus
+        if family not in (GALOIS_RING, EU_POWER_SERIES):
+            raise SpecError(f"unknown ring family {family!r}")
+        for name, value in (("p", p), ("r", r), ("s", s)):
+            if not _is_int(value):
+                raise SpecError(f"{name} must be an integer, got {value!r}")
+        if p >= PRIME_TEST_BOUND:
+            raise SpecError(f"p = {p} is too large to certify as prime")
+        if not is_prime(p):
+            raise SpecError(f"p = {p} is not prime")
+        if r < 1:
+            raise SpecError("r must be >= 1")
+        if s < 1:
+            raise SpecError("s must be >= 1")
+        if r > DEGREE_CAP:
+            raise BudgetExceeded(
+                f"{family}(p={p},r={r},s={s}) has residue degree r = {r}, "
+                f"over budget r <= {DEGREE_CAP}"
+            )
+        # p >= 2, so p^13 > HENSEL_CAP: the capped exponent keeps the power small.
+        lifted = family == GALOIS_RING and r >= 2 and s >= 2
+        if lifted and p ** min(r, HENSEL_CAP.bit_length()) > HENSEL_CAP:
+            raise BudgetExceeded(
+                f"lifting the modulus of GR(p={p},r={r},s={s}) works on "
+                f"X^(q-1) - 1 with q = {p}^{r}, over budget q <= {HENSEL_CAP}"
+            )
+        if modulus is None:
+            modulus = _polys.smallest_irreducible(p, r)
+        elif isinstance(modulus, (list, tuple)) and all(map(_is_int, modulus)):
+            modulus = tuple([c % p for c in modulus])
+            if len(modulus) != r + 1 or modulus[-1] != 1:
+                raise SpecError("modulus must be monic of degree r")
+            if not _polys.is_irreducible_fp(modulus, p):
+                raise SpecError("modulus is reducible over F_p")
+        else:
+            raise SpecError("modulus must be a list of integers")
+        object.__setattr__(self, "modulus", modulus)
 
     def to_json(self) -> dict:
         return {
@@ -137,17 +153,7 @@ class ChainRingSpec:
             family, p, r, s = [doc[key] for key in ("family", "p", "r", "s")]
         except KeyError as exc:
             raise SpecError(f"ring spec has no {exc}") from exc
-        _check_invariants(family, p, r, s)
-        modulus = doc.get("modulus")
-        if modulus is None:
-            modulus = _polys.smallest_irreducible(p, r)
-        elif isinstance(modulus, list) and all(map(_is_int, modulus)):
-            modulus = tuple(modulus)
-        else:
-            raise SpecError("modulus must be a list of integers")
-        spec = ChainRingSpec(family, p, r, s, modulus)
-        spec.validate()
-        return spec
+        return ChainRingSpec(family, p, r, s, doc.get("modulus"))
 
 
 class _LazyTable(dict):
@@ -219,7 +225,6 @@ class ChainRing:
     """A concrete finite chain ring; construct via :func:`make_ring`."""
 
     def __init__(self, spec: ChainRingSpec):
-        spec.validate()
         self.spec = spec
         self.family = spec.family
         self.p = spec.p
@@ -595,7 +600,7 @@ class ChainRing:
         itself when it is one."""
         if self.family == GALOIS_RING and self.s == 1:
             return self
-        modulus = tuple([c % self.p for c in self.spec.modulus])
+        modulus = self.spec.modulus
         return make_ring(ChainRingSpec(GALOIS_RING, self.p, self.r, 1, modulus))
 
     def residue(self, a: RingElement) -> int:
@@ -611,19 +616,6 @@ class ChainRing:
         if self.family == GALOIS_RING:
             return self.make(self.field.element_at(c).coords)
         return self.make((c,) + (0,) * (self.s - 1))
-
-    def residue_ring(self) -> "ChainRing":
-        """F_q presented as the chain ring F_{p^r}[u]/(u)."""
-        return self._residue_ring
-
-    @cached_property
-    def _residue_ring(self) -> "ChainRing":
-        return make_ring(
-            ChainRingSpec(EU_POWER_SERIES, self.p, self.r, 1, self.spec.modulus)
-        )
-
-    def residue_element(self, a: RingElement) -> RingElement:
-        return self.residue_ring().make((self.residue(a),))
 
     # -- theta-adic structure --------------------------------------------
 
@@ -747,10 +739,9 @@ class ChainRing:
 
 
 def make_ring(spec: ChainRingSpec | dict | str) -> ChainRing:
-    """The one ring of a spec, built on first request.
-
-    A JSON spec is validated when parsed and any spec when its ring is
-    first built; a cached ring is returned without checking again."""
+    """The one ring of a spec, built on first request.  A spec is checked
+    when it is made, so a JSON spec is checked when it is parsed, and a
+    ring is built from a checked spec without checking it again."""
     if not isinstance(spec, ChainRingSpec):
         spec = ChainRingSpec.from_json(spec)
     return _ring_of(spec)
@@ -759,17 +750,9 @@ def make_ring(spec: ChainRingSpec | dict | str) -> ChainRing:
 _ring_of = cache(ChainRing)
 
 
-def ring_spec(family: str, p: int, r: int, s: int, modulus=None) -> ChainRingSpec:
-    """Convenience builder deriving the canonical modulus when omitted."""
-    if modulus is None:
-        _check_invariants(family, p, r, s)
-        modulus = _polys.smallest_irreducible(p, r)
-    return ChainRingSpec(family, p, r, s, tuple(modulus))
-
-
 def galois_ring(p: int, r: int, s: int) -> ChainRing:
-    return make_ring(ring_spec(GALOIS_RING, p, r, s))
+    return make_ring(ChainRingSpec(GALOIS_RING, p, r, s))
 
 
 def eu_ring(p: int, r: int, s: int) -> ChainRing:
-    return make_ring(ring_spec(EU_POWER_SERIES, p, r, s))
+    return make_ring(ChainRingSpec(EU_POWER_SERIES, p, r, s))

@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import oracle
-from .chainring import ChainRingSpec, _is_int, make_ring
+from .chainring import _is_int, make_ring
 from .contraction import concatenation_code, contract_code, contract_dual
 from .cosets import (
     CosetUniverse,
@@ -62,14 +62,14 @@ def _load_json_file(path: str):
 
 
 def _ring_from_args(args):
-    return make_ring(ChainRingSpec.from_json(_load_json_arg(args.ring)))
+    return make_ring(_load_json_arg(args.ring))
 
 
 def load_code(doc) -> LinearCode:
     if not isinstance(doc, dict):
         raise ChainCodesError("code document must be a JSON object")
     try:
-        ring = make_ring(ChainRingSpec.from_json(doc["ring"]))
+        ring = make_ring(doc["ring"])
         length = doc["length"]
         gens = doc["generators"]
         rows = [[ring.element(coords) for coords in row] for row in gens]

@@ -32,7 +32,7 @@ class CosetUniverse:
         if self.q < 2 or prime_power_base(self.q) is None:
             raise SpecError("q must be a prime power >= 2")
         if gcd(self.q, self.ell) != 1:
-            raise SpecError("q and ell must be coprime")
+            raise SpecError(f"ell = {self.ell} must be coprime to q = {self.q}")
         object.__setattr__(self, "m", multiplicative_order(self.q, self.ell))
 
     def subset(self, members) -> "CosetSet":

@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import cache, cached_property
 
 from ._ints import order_dividing
-from .chainring import ChainRing, RingElement, make_ring, ring_spec
+from .chainring import ChainRing, ChainRingSpec, RingElement, make_ring
 from .errors import SpecError
 from .modcodes import LinearCode, vdot
 
@@ -60,7 +60,7 @@ class GaloisExtension:
             self.top = base
         else:
             self.top = make_ring(
-                ring_spec(base.family, base.p, base.r * m, base.s)
+                ChainRingSpec(base.family, base.p, base.r * m, base.s)
             )
         # xi lifts the least residue c that generates F_(q^m)^*.
         top, n = self.top, self.order

@@ -338,13 +338,11 @@ def is_constacyclic(code: LinearCode, gamma: RingElement) -> bool:
 
 
 def residue_code(code: LinearCode) -> LinearCode:
-    """The componentwise projection to F_q, as a code over the residue ring."""
+    """The componentwise projection to F_q, as a code over ``ring.field``."""
     ring = code.ring
-    res = ring.residue_ring()
-    rows = [
-        tuple(ring.residue_element(a) for a in row) for row in code.sf_rows
-    ]
-    return LinearCode(res, code.length, rows)
+    at, residue = ring.field.element_at, ring.residue
+    rows = [tuple(at(residue(a)) for a in row) for row in code.sf_rows]
+    return LinearCode(ring.field, code.length, rows)
 
 
 # -- Galois operations on codes over an extension S|R ----------------------

@@ -36,10 +36,6 @@ class EvalContext:
     """Shared evaluation data for cyclic codes of one length over one ring."""
 
     def __init__(self, ring: ChainRing, ell: int):
-        if ell < 1:
-            raise SpecError("length must be >= 1")
-        if gcd(ring.q, ell) != 1:
-            raise SpecError(f"length {ell} must be coprime to q = {ring.q}")
         self.ring = ring
         self.ell = ell
         self.universe = CosetUniverse(ell, ring.q)

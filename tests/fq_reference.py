@@ -62,7 +62,7 @@ class FqArith:
         return self.from_coeffs(_polys.mod_unit_lead(prod, self.modulus, self.p))
 
     def inv(self, a: int) -> int:
-        """a^(q-2), by the square and multiply of Rabin's test."""
+        """a^(q-2), by the square and multiply of the irreducibility test."""
         if a == 0:
             raise ZeroDivisionError("0 is not invertible in F_q")
         return self.from_coeffs(

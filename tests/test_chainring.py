@@ -18,9 +18,8 @@ from chaincodes import (
     extend,
     galois_ring,
     make_ring,
-    ring_spec,
 )
-from chaincodes.chainring import HENSEL_CAP
+from chaincodes.chainring import DEGREE_CAP, HENSEL_CAP
 
 # Both families at p in {2, 3, 5}, r in {1, 2}, s in {1, 2, 3}: table rings
 # and rings above chainring.TABLE_CAP (up to 5^6 elements).
@@ -146,7 +145,7 @@ def test_gr_hensel_modulus_divides_unity():
 def test_residue_field():
     R = galois_ring(2, 2, 2)
     assert R.residue(R.one) == 1
-    res = R.residue_ring()
+    res = R.field
     assert res.size == 4 and res.s == 1
     fq = reference_field(res)
     for a in R.elements():
@@ -253,7 +252,6 @@ def test_field_arithmetic_on_samples(ring):
 def test_field_is_the_galois_ring_of_degree_one(ring):
     assert ring.field is galois_ring(ring.p, ring.r, 1)
     assert ring.field.field is ring.field
-    assert ring.residue_ring() is eu_ring(ring.p, ring.r, 1)
 
 
 def test_spec_validation():
@@ -262,7 +260,7 @@ def test_spec_validation():
     with pytest.raises(SpecError):
         ChainRingSpec.from_json({"family": "XX", "p": 3, "r": 1, "s": 1})
     with pytest.raises(SpecError):
-        ChainRingSpec("GR", 3, 2, 1, (2, 0, 1)).validate()  # x^2+2 reducible
+        ChainRingSpec("GR", 3, 2, 1, (2, 0, 1))  # x^2+2 reducible
 
 
 def test_spec_json_round_trip():
@@ -351,34 +349,58 @@ def test_hensel_lift_is_refused_over_the_cap(monkeypatch):
 def test_hensel_cap_is_checked_before_the_modulus_search(monkeypatch):
     # ell = 1009 over Z9 needs GR(3^168, 2), whose modulus search alone ran
     # past 20 s before the cap was checked; a search that starts fails.
+    # Over F3[u]/(u^2) it needs EU(3^168, 2), which lifts no modulus: the
+    # degree cap refuses it, and any ring of degree over DEGREE_CAP.
     from chaincodes import _polys
 
-    z9 = galois_ring(3, 1, 2)
+    z9, f3u = galois_ring(3, 1, 2), eu_ring(3, 1, 2)
 
     def search_nothing(p, r):
         raise AssertionError("modulus searched for a ring over the cap")
 
     monkeypatch.setattr(_polys, "smallest_irreducible", search_nothing)
     start = time.perf_counter()
-    for p, r in ((3, 168), (3, 9), (2, 10**9)):
+    over = [("GR", 3, 168, 2), ("GR", 3, 9, 2), ("GR", 2, 10**9, 2)]
+    over += [("EU", 3, 168, 2), ("EU", 3, 168, 1), ("GR", 3, 168, 1)]
+    over += [(f, 3, DEGREE_CAP + 1, s) for f in ("GR", "EU") for s in (1, 2)]
+    for family, p, r, s in over:
         with pytest.raises(BudgetExceeded):
-            ring_spec("GR", p, r, 2)
+            ChainRingSpec(family, p, r, s)
+        doc = {"family": family, "p": p, "r": r, "s": s, "modulus": [1]}
         with pytest.raises(BudgetExceeded):
-            make_ring({"family": "GR", "p": p, "r": r, "s": 2})
-    with pytest.raises(BudgetExceeded):
-        extend(z9, 168)
+            make_ring(doc)
+    for ring in (z9, f3u):
+        with pytest.raises(BudgetExceeded):
+            extend(ring, 168)
     assert time.perf_counter() - start < 1.0
 
 
-def test_spec_is_validated_once(monkeypatch):
-    spec = ChainRingSpec.from_json({"family": "EU", "p": 2, "r": 2, "s": 2})
-    ring = make_ring(spec)
+def count_irreducibility_tests(monkeypatch) -> list:
+    """The polynomials that _polys.is_irreducible_fp is called on from now."""
+    from chaincodes import _polys
+
     calls = []
-    monkeypatch.setattr(ChainRingSpec, "validate", lambda spec: calls.append(spec))
-    assert make_ring(spec) is ring  # a cache hit checks nothing again
+    check = _polys.is_irreducible_fp
+
+    def counted(h, p):
+        calls.append(h)
+        return check(h, p)
+
+    monkeypatch.setattr(_polys, "is_irreducible_fp", counted)
+    return calls
+
+
+def test_spec_is_validated_once(monkeypatch):
+    # A spec is checked when it is made: building the ring of a spec, or
+    # hitting the cache with it, checks nothing again.
+    doc = {"family": "EU", "p": 2, "r": 2, "s": 2, "modulus": [1, 1, 1]}
+    spec = ChainRingSpec.from_json(doc)
+    calls = count_irreducibility_tests(monkeypatch)
+    ring = make_ring(spec)
+    assert make_ring(spec) is ring
     assert calls == []
-    assert make_ring(spec.to_json()) is ring  # JSON input: from_json checks
-    assert calls == [spec]
+    assert make_ring(doc) is ring  # JSON input: parsing makes a spec
+    assert calls == [spec.modulus]
 
 
 def test_unvalidated_spec_is_checked_on_first_build():
@@ -386,46 +408,56 @@ def test_unvalidated_spec_is_checked_on_first_build():
         make_ring(ChainRingSpec("GR", 3, 2, 2, (2, 0, 1)))
 
 
-def test_first_build_checks_irreducibility_twice(monkeypatch):
-    # Once when the JSON spec is parsed, once when its ring is first built.
-    from chaincodes import _polys
-
-    calls = []
-    check = _polys.is_irreducible_fp
-
-    def counted(h, p):
-        calls.append(h)
-        return check(h, p)
-
-    monkeypatch.setattr(_polys, "is_irreducible_fp", counted)
+def test_given_modulus_checks_irreducibility_once(monkeypatch):
+    # Once, when the JSON spec is parsed; building its ring checks nothing.
+    calls = count_irreducibility_tests(monkeypatch)
     make_ring('{"family":"EU","p":7,"r":2,"s":3,"modulus":[3,1,1]}')
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_cache_hit_runs_no_modulus_search(monkeypatch):
-    # The smallest-irreducible search runs once per (p, r); a cache hit
-    # only re-checks the modulus when its JSON spec is parsed.
-    from chaincodes import _polys
-
+    # The smallest-irreducible search runs once per (p, r), so parsing a
+    # spec without a modulus again tests no polynomial.
     spec = '{"family":"GR","p":5,"r":3,"s":2}'
     ring = make_ring(spec)
-    calls = []
-    check = _polys.is_irreducible_fp
-
-    def counted(h, p):
-        calls.append(h)
-        return check(h, p)
-
-    monkeypatch.setattr(_polys, "is_irreducible_fp", counted)
+    calls = count_irreducibility_tests(monkeypatch)
     assert make_ring(spec) is ring
-    assert len(calls) <= 1
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "spec, other",
+    [
+        (
+            {"family": "GR", "p": 3, "r": 1, "s": 2, "modulus": [-1, 1]},
+            {"family": "GR", "p": 3, "r": 1, "s": 2, "modulus": [2, 1]},
+        ),
+        (
+            {"family": "GR", "p": 3, "r": 2, "s": 2, "modulus": [2, 2, 4]},
+            {"family": "GR", "p": 3, "r": 2, "s": 2, "modulus": [2, 2, 1]},
+        ),
+        (
+            {"family": "EU", "p": 5, "r": 2, "s": 2, "modulus": [7, -1, 6]},
+            {"family": "EU", "p": 5, "r": 2, "s": 2, "modulus": [2, 4, 1]},
+        ),
+    ],
+)
+def test_one_ring_per_spelling_of_a_modulus(spec, other):
+    ring = make_ring(spec)
+    assert make_ring(other) is ring
+    assert ChainRingSpec.from_json(spec) == ChainRingSpec.from_json(other)
+    assert ring.spec.modulus == tuple(other["modulus"])
+    if ring.family == "GR":
+        # The lift of the reduced modulus is monic.
+        assert ring.lifted_modulus[-1] == 1
+        assert [c % ring.p for c in ring.lifted_modulus] == other["modulus"]
 
 
 def test_prime_bound_rejected():
     from chaincodes._ints import PRIME_TEST_BOUND
 
     with pytest.raises(SpecError):
-        ChainRingSpec("GR", PRIME_TEST_BOUND + 2, 1, 1, (0, 1)).validate()
+        ChainRingSpec("GR", PRIME_TEST_BOUND + 2, 1, 1, (0, 1))
     with pytest.raises(SpecError):
         ChainRingSpec.from_json({"family": "GR", "p": 10**25 + 13, "r": 1, "s": 1})
 
@@ -502,7 +534,7 @@ def ring_spec_docs(draw):
     doc = {
         "family": draw(st.sampled_from(["GR", "EU"]) | JSON_VALUES),
         "p": draw(st.sampled_from([2, 3, 4, 5]) | JSON_VALUES),
-        "r": draw(st.integers(-1, 4) | JSON_VALUES),
+        "r": draw(st.integers(-1, 4) | st.just(DEGREE_CAP + 1) | JSON_VALUES),
         "s": draw(st.integers(-1, 4) | JSON_VALUES),
         "modulus": draw(st.lists(st.integers(-2, 6), max_size=5) | JSON_VALUES),
     }
@@ -519,14 +551,16 @@ def ring_spec_docs(draw):
     | st.text(max_size=12)
 )
 def test_ring_spec_json_raises_only_spec_error(doc):
-    # ... or BudgetExceeded, for exactly the GR specs whose modulus lift is
-    # over the cap.
+    # ... or BudgetExceeded, for exactly the specs over the degree cap and
+    # the GR specs whose modulus lift is over the Hensel cap.
     try:
         spec = ChainRingSpec.from_json(doc)
     except SpecError:
         return
     except BudgetExceeded:
         doc = json.loads(doc) if isinstance(doc, str) else doc
+        if doc["r"] > DEGREE_CAP:
+            return
         assert doc["family"] == "GR" and min(doc["r"], doc["s"]) >= 2
         assert doc["p"] ** doc["r"] > HENSEL_CAP
         return
@@ -558,4 +592,4 @@ def test_ring_spec_rejected_before_modulus_search(monkeypatch, doc, message):
         ChainRingSpec.from_json(doc)
     if isinstance(doc, dict) and set(doc) == {"family", "p", "r", "s"}:
         with pytest.raises(SpecError, match=message):
-            ring_spec(**doc)
+            ChainRingSpec(**doc)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from chaincodes.cli import main
 
 Z9_SPEC = '{"family":"GR","p":3,"r":1,"s":2}'
+F3U_SPEC = '{"family":"EU","p":3,"r":1,"s":2}'
 
 GOLDEN_COSETS_20_3 = """\
 cosets mod 20 under multiplication by 3:
@@ -247,7 +248,9 @@ def test_modulus_lift_budget(capsys, monkeypatch):
     # their modulus from the dense X^(q-1) - 1; a lift that starts fails at
     # once instead of running for minutes or running out of memory.
     # ell = 1009 needs GR(3^168, 2): the cap is checked before the modulus
-    # search, which alone ran past 20 s there.
+    # search, which alone ran past 20 s there.  Over F3[u]/(u^2) it needs
+    # EU(3^168, 2), which lifts no modulus; the degree cap refuses it, and
+    # any ring of degree over 100, before the search.
     from chaincodes import _polys
     from chaincodes.chainring import HENSEL_CAP
 
@@ -267,11 +270,23 @@ def test_modulus_lift_budget(capsys, monkeypatch):
         ("ring-info", "--ring", '{"family":"GR","p":3,"r":9,"s":2}'),
         ("build", "trace", "--ring", Z9_SPEC, "--ell", "100", "--set", "1"),
         ("build", "trace", "--ring", Z9_SPEC, "--ell", "1009", "--set", "1"),
+        ("build", "trace", "--ring", F3U_SPEC, "--ell", "1009", "--set", "1"),
+        ("ring-info", "--ring", '{"family":"EU","p":3,"r":101,"s":2}'),
     ):
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
         assert time.perf_counter() - start < 1.0
         assert code == 4 and "budget" in err and not out
+
+
+def test_code_documents_differing_in_the_modulus_spelling_are_equal():
+    from chaincodes.cli import load_code
+
+    doc = {"length": 2, "generators": [[[1], [4]]]}
+    code = load_code({**doc, "ring": {**json.loads(Z9_SPEC), "modulus": [2, 1]}})
+    again = load_code({**doc, "ring": {**json.loads(Z9_SPEC), "modulus": [-1, 1]}})
+    assert again.ring is code.ring
+    assert again.same_code(code) and again == code
 
 
 def test_verify(capsys):

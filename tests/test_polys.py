@@ -1,5 +1,5 @@
-"""Rabin's irreducibility test and the modulus search, against trial
-division."""
+"""The early-exit irreducibility test and the modulus search, against
+trial division."""
 
 import time
 
@@ -48,7 +48,7 @@ def reference_smallest_irreducible(p, r):
     raise AssertionError("no irreducible found")
 
 
-def test_rabin_matches_trial_division():
+def test_irreducibility_matches_trial_division():
     for p, top in ((2, 6), (3, 6), (5, 5)):
         for r in range(1, top + 1):
             for h in monic_polys(p, r):
@@ -57,7 +57,7 @@ def test_rabin_matches_trial_division():
                 ), (p, h)
 
 
-def test_rabin_accepts_a_non_monic_lead():
+def test_irreducibility_accepts_a_non_monic_lead():
     # 2x^2 + 2 = 2(x^2 + 1) over F_3.
     assert _polys.is_irreducible_fp([2, 0, 2], 3)
     assert not _polys.is_irreducible_fp([2, 0, 1], 3)
