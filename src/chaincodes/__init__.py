@@ -16,7 +16,6 @@ from .contraction import (
     concatenation_code,
     contract_code,
     contract_dual,
-    dual_contraction_partition,
     preimage_code,
 )
 from .cosets import (

@@ -103,19 +103,24 @@ def _fp_pow_mod(a, e, h, p):
 
 
 def is_irreducible_fp(h, p) -> bool:
-    """The early-exit distinct-degree test for h over F_p (nonzero leading
-    coefficient): as x^(p^k) - x is the product of the monic irreducibles
-    of degree dividing k, h of degree r is irreducible exactly when
-    gcd(h, x^(p^k) - x) = 1 for each k <= r/2.  It stops at the first k
-    with a common factor."""
-    h = trim([c % p for c in list(h)])
-    r = len(h) - 1
-    if r < 1:
+    """Whether h (nonzero leading coefficient mod p) is irreducible over
+    F_p.  The test runs once per monic h mod p and prime p, so a residue
+    field built on its ring's modulus does not test that modulus again."""
+    h = trim([c % p for c in h])
+    if len(h) < 2:
         return False
-    h = scalar_mul(pow(h[-1], -1, p), h, p)
+    return _is_irreducible_monic(tuple(scalar_mul(pow(h[-1], -1, p), h, p)), p)
+
+
+@cache
+def _is_irreducible_monic(h: tuple[int, ...], p: int) -> bool:
+    """The early-exit distinct-degree test for monic h over F_p: as
+    x^(p^k) - x is the product of the monic irreducibles of degree dividing
+    k, h of degree r is irreducible exactly when gcd(h, x^(p^k) - x) = 1
+    for each k <= r/2.  It stops at the first k with a common factor."""
     x = [0, 1]
     frob = x  # x^(p^k) mod h
-    for _ in range(r // 2):
+    for _ in range((len(h) - 1) // 2):
         frob = _fp_pow_mod(frob, p, h, p)
         if len(fp_ext_gcd(h, sub(frob, x, p), p)[0]) > 1:
             return False

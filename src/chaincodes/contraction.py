@@ -114,13 +114,6 @@ def contract_code(code: LinearCode, u: int) -> ContractionResult:
     return ContractionResult(contracted, gamma, omega, partition)
 
 
-def dual_contraction_partition(
-    result: ContractionResult, u: int
-) -> CyclotomicPartition:
-    """The exponent partition of the dual cyclic code, via the star dual."""
-    return result.partition.star_dual(u, result.omega)
-
-
 def preimage_code(code: LinearCode, gamma: RingElement, u: int) -> LinearCode:
     """The preimage of a length-u*n code under the concatenation map.
 
@@ -150,15 +143,19 @@ def contract_dual(result: ContractionResult, u: int) -> LinearCode:
     """dual(K) as the contraction of the cyclic code of the star dual.
 
     dual(K) is gamma^(-1)-constacyclic, and its gamma^(-1)-concatenation is
-    the cyclic code D of length u*n whose partition is the star dual
-    (``dual_contraction_partition``).  So D is built from that partition
-    and contracted like ``contract_code`` contracts, with no dual() call.
-    The zero code's dual is the full code, which no concatenation gives.
+    the cyclic code D of length u*n whose partition is the star dual of
+    the input's.  So D is built from that partition and contracted like
+    ``contract_code`` contracts, with no dual() call.  The zero code's dual
+    is the full code, which no concatenation gives.
     """
     ring, n = result.code.ring, result.code.length
+    partition = result.partition
+    if u * n != partition.universe.ell:
+        raise SpecError(
+            f"u * n = {u} * {n} is not the length {partition.universe.ell} "
+            "of the contracted cyclic code"
+        )
     if result.code.is_zero():
         return full_code(ring, n)
-    big = code_from_partition(
-        context(ring, n * u), dual_contraction_partition(result, u)
-    )
+    big = code_from_partition(context(ring, n * u), partition.star_dual(u))
     return _contract_rows(big, ring.inv(result.gamma), u)

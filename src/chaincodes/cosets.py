@@ -229,40 +229,27 @@ class CyclotomicPartition:
             )
         return min(residues, default=None)
 
-    def star_dual(self, u: int, omega: int | None = None) -> "CyclotomicPartition":
+    def star_dual(self, u: int) -> "CyclotomicPartition":
         """The partition of the cyclic code whose contraction is the dual of
         this code's contraction.
 
         Requires the information exponents to sit in a single residue class
-        omega mod u (``info_residue``).  The members of A_s in that class,
-        negated, form level 0; levels 1..s-1 are A_(s-1), ..., A_1 negated,
-        and the rest of A_s with A_0, negated, forms level s.  So every
-        information exponent of the result lies in the class -omega, that
-        of gamma^(-1) = beta^omega, and its level-0 block is
-        ``A.star_dual(u, omega)`` for A the information set.  With all
-        information blocks empty the map degenerates to the full-code
-        partition.
+        omega mod u (``info_residue``).  It is the tilde dual with level 0,
+        the negated A_s, cut to ``A.star_dual(u, omega)`` for A the
+        information set, so every information exponent of the result lies
+        in the class -omega, that of gamma^(-1) = beta^omega; the part cut
+        off moves to level s.  With all information blocks empty the map
+        degenerates to the full-code partition.
         """
-        derived = self.info_residue(u)
-        if derived is None:  # the zero code: its dual is everything
+        omega = self.info_residue(u)
+        if omega is None:  # the zero code: its dual is everything
             blocks = [self.universe.full()] + [self.universe.empty()] * self.s
             return CyclotomicPartition(self.universe, blocks)
-        if omega is None:
-            omega = derived
-        elif omega % u != derived:
-            raise SingletonViolation(
-                f"stated omega {omega} does not match derived {derived}"
-            )
-        a_s = self.blocks[self.s]
-        a_s_star = CosetSet(
-            self.universe,
-            frozenset(z for z in a_s.members if z % u == derived),
-        )
-        a_0_tri = self.blocks[0].union(a_s.difference(a_s_star))
-        new_blocks = [a_s_star, *self.blocks[self.s - 1 : 0 : -1], a_0_tri]
-        return CyclotomicPartition(
-            self.universe, [b.opposite() for b in new_blocks]
-        )
+        blocks = list(self.tilde_dual().blocks)
+        cut = self.blocks[self.s].complement().star_dual(u, omega)
+        blocks[-1] = blocks[-1].union(blocks[0].difference(cut))
+        blocks[0] = cut
+        return CyclotomicPartition(self.universe, blocks)
 
     def to_assignment(self) -> dict[int, int]:
         return {z: self.level_of(z) for z in representatives(self.universe)}

@@ -17,8 +17,14 @@ from __future__ import annotations
 from functools import cache, cached_property
 
 from ._ints import order_dividing
-from .chainring import ChainRing, ChainRingSpec, RingElement, make_ring
-from .errors import SpecError
+from .chainring import (
+    EXTENSION_BASE_CAP,
+    ChainRing,
+    ChainRingSpec,
+    RingElement,
+    make_ring,
+)
+from .errors import BudgetExceeded, SpecError
 from .modcodes import LinearCode, vdot
 
 
@@ -58,6 +64,12 @@ class GaloisExtension:
         self.order = base.q**m - 1  # size of the Teichmuller unit group
         if m == 1:
             self.top = base
+        elif base.size > EXTENSION_BASE_CAP:
+            raise BudgetExceeded(
+                f"extending {base.short_name()} ({base.size} elements) to "
+                f"degree {m} embeds every base element, over budget "
+                f"{EXTENSION_BASE_CAP}"
+            )
         else:
             self.top = make_ring(
                 ChainRingSpec(base.family, base.p, base.r * m, base.s)
@@ -108,13 +120,14 @@ class GaloisExtension:
         return {self.embed(a): a for a in self.base.elements()}
 
     def in_base(self, b: RingElement) -> bool:
+        if self.m == 1:
+            return b.ring is self.base
         return b in self._unembed
 
     def unembed(self, b: RingElement) -> RingElement:
-        try:
-            return self._unembed[b]
-        except KeyError:
+        if not self.in_base(b):
             raise SpecError("element does not lie in the embedded base ring")
+        return b if self.m == 1 else self._unembed[b]
 
     # -- Teichmuller generator -------------------------------------------
 

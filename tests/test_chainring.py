@@ -425,6 +425,31 @@ def test_cache_hit_runs_no_modulus_search(monkeypatch):
     assert calls == []
 
 
+def test_residue_field_does_not_retest_the_modulus(monkeypatch):
+    # extend(Z9, 6) searches GR(3^6, 2)'s modulus, testing 5 candidates;
+    # its residue field GR(3^6, 1), built on that modulus, tests none.
+    # Fresh caches make every test a real computation.
+    from functools import cache
+
+    from chaincodes import _polys, chainring
+    from chaincodes.galois import GaloisExtension
+
+    computed = []
+    test = _polys._is_irreducible_monic.__wrapped__
+
+    def counted(h, p):
+        computed.append(h)
+        return test(h, p)
+
+    monkeypatch.setattr(_polys, "_is_irreducible_monic", cache(counted))
+    search = _polys.smallest_irreducible.__wrapped__
+    monkeypatch.setattr(_polys, "smallest_irreducible", cache(search))
+    monkeypatch.setattr(chainring, "_ring_of", cache(chainring.ChainRing))
+    ext = GaloisExtension(galois_ring(3, 1, 2), 6)
+    assert ext.top.field.spec.modulus == ext.top.spec.modulus
+    assert len(computed) == 5
+
+
 @pytest.mark.parametrize(
     "spec, other",
     [

@@ -279,6 +279,18 @@ def test_modulus_lift_budget(capsys, monkeypatch):
         assert code == 4 and "budget" in err and not out
 
 
+def test_extension_base_budget(capsys):
+    # ell = 5 over EU(3^6, 2) needs a degree-2 extension of a base of 531441
+    # elements, whose first trace ran past 60 s.
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "build", "trace", "--ring", '{"family":"EU","p":3,"r":6,"s":2}',
+        "--ell", "5", "--set", "1",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 4 and "budget" in err and not out
+
+
 def test_code_documents_differing_in_the_modulus_spelling_are_equal():
     from chaincodes.cli import load_code
 

@@ -19,7 +19,6 @@ from chaincodes import (
     code_from_partition,
     constashift,
     cosets,
-    dual_contraction_partition,
     eu_ring,
     full_code,
     galois_ring,
@@ -129,7 +128,7 @@ def adjoint_pull_back_dual(result, u):
     ring, n = result.code.ring, result.code.length
     ctx = context(ring, n * u)
     dual_big = code_from_partition(
-        ctx, dual_contraction_partition(result, u).tilde_dual()
+        ctx, result.partition.star_dual(u).tilde_dual()
     )
     gamma = ring.inv(result.gamma)
     rows = []
@@ -244,6 +243,33 @@ def test_preimage_of_concatenation():
     assert preimage_code(big, NEG, 2).same_code(k)
 
 
-def test_dual_contraction_partition():
+def test_star_dual_of_the_paper_code():
     res = contract_code(paper_code_20(), 2)
-    assert dual_contraction_partition(res, 2) == res.partition
+    assert res.partition.star_dual(2) == res.partition
+
+
+def test_degree_one_contraction_lists_no_base():
+    # With m = 1, unembed and in_base are identities, as embed and trace
+    # are: contracting over F_(3^10) at ell = 22 lists none of its 59049
+    # elements.
+    ring = galois_ring(3, 10, 1)
+    ctx = context(ring, 22)
+    assert ctx.ext.m == 1
+    reps = representatives(ctx.universe)
+    p = make_partition(ctx.universe, 1, {z: 0 if z % 2 else 1 for z in reps})
+    code = code_from_partition(ctx, p)
+    res = contract_code(code, 2)
+    assert (res.omega, res.gamma) == (1, -ring.one)
+    assert concatenation_code(res.code, res.gamma, 2).same_code(code)
+    assert contract_dual(res, 2).same_code(res.code.dual())
+    assert ctx.ext.unembed(res.gamma) is res.gamma
+    assert not ctx.ext.in_base(Z9.one)
+    assert "_unembed" not in vars(ctx.ext)
+
+
+def test_contract_dual_checks_the_length():
+    # The result contracts a length-20 code with u = 2; no other u fits.
+    res = contract_code(paper_code_20(), 2)
+    for u in (1, 3, 4):
+        with pytest.raises(SpecError, match="not the length 20"):
+            contract_dual(res, u)

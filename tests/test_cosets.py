@@ -144,9 +144,7 @@ def test_partition_star_dual_self_dual_instance():
     p = make_partition(
         universe, 2, {0: 2, 1: 0, 2: 2, 4: 2, 5: 1, 10: 2, 11: 2}
     )
-    assert p.star_dual(2, 1) == p
-    with pytest.raises(SingletonViolation):
-        p.star_dual(2, 0)  # omega does not match the information residues
+    assert p.star_dual(2) == p
 
 
 def test_partition_star_dual_mixed_residues():
@@ -196,6 +194,20 @@ def test_partition_star_dual_level_0_is_set_star_dual(case):
         return
     assert dual.blocks[0] == info.star_dual(u, omega)
     assert dual.info_residue(u) in (None, (-omega) % u)
+
+
+@settings(max_examples=200, deadline=None)
+@given(one_class_partitions())
+def test_partition_star_dual_is_an_involution(case):
+    # Whenever the star dual has information exponents, its star dual is
+    # the partition itself.  The zero code is left out: its dual, the full
+    # code, meets every class mod u, so it has no star dual.
+    u, _, p = case
+    if p.info_residue(u) is None:
+        return
+    dual = p.star_dual(u)
+    if dual.info_residue(u) is not None:
+        assert dual.star_dual(u) == p
 
 
 def test_partition_count():

@@ -1,12 +1,14 @@
 """Tests for Galois extensions: embedding, Frobenius, trace, xi."""
 
 import random
+import time
 from itertools import product
 
 import pytest
 from fq_reference import reference_field
 
 from chaincodes import (
+    BudgetExceeded,
     LinearCode,
     SpecError,
     context,
@@ -17,7 +19,8 @@ from chaincodes import (
     xi_multiplicative_order,
 )
 from chaincodes._ints import factorize
-from chaincodes.galois import _invert_unit_matrix
+from chaincodes.chainring import EXTENSION_BASE_CAP
+from chaincodes.galois import GaloisExtension, _invert_unit_matrix
 
 Z9 = galois_ring(3, 1, 2)
 F3U = eu_ring(3, 1, 2)  # F3[u]/(u^2)
@@ -82,6 +85,25 @@ def test_foreign_element_is_not_in_the_base():
     assert not ext.in_base(x)
     with pytest.raises(SpecError):
         ext.unembed(x)
+
+
+def test_extension_base_budget(monkeypatch):
+    # A base over the cap is refused before the top ring is built: the
+    # first trace over EU(3^6, 2) at degree 2 ran past 60 s embedding its
+    # 531441 elements.  Degree 1 builds nothing, so it has no cap.
+    from chaincodes import galois
+
+    def build_nothing(spec):
+        raise AssertionError("top ring built over the cap")
+
+    monkeypatch.setattr(galois, "make_ring", build_nothing)
+    start = time.perf_counter()
+    for base in (eu_ring(3, 6, 2), eu_ring(2, 8, 2), galois_ring(3, 10, 1)):
+        assert base.size > EXTENSION_BASE_CAP
+        with pytest.raises(BudgetExceeded, match="budget"):
+            GaloisExtension(base, 2)
+        assert GaloisExtension(base, 1).top is base
+    assert time.perf_counter() - start < 1.0
 
 
 def test_frobenius_fixes_exactly_the_base():
