@@ -35,16 +35,19 @@ elements above the cap, and the row operations (``row_axpy``,
 ``row_scale``, ``row_dots``, ``row_valuations``) and the entry operations
 (``entry_valuation``, ``entry_quotient``, ``entry_divide``, ``entry_inv``)
 take and return that encoding.  Zero encodes as a false value either way.
-On byte rows the row work runs in C, through ``bytes.translate`` with
-256-entry tables filled from the index tables on first use.  Addition is
+On byte rows ``row_axpy``, ``row_scale`` and ``row_valuations`` run in C,
+through ``bytes.translate`` with 256-entry tables filled from the index
+tables on first use.  Addition is
 digit-wise on indices (base B = ``p^s`` for ``GR``, ``p`` for ``EU``).
 When an index's digits re-spelt in base 2B fit a byte, ``row_axpy`` adds
 two rows as integers (``int.from_bytes``), where no sum carries, and folds
 the sums back with one ``translate``; otherwise it adds entry by entry
-through the ``+`` table.  ``row_dots`` sums each index digit of the
-entrywise products modulo B.  In rings of at most ``PAIR_CAP`` elements
-those products come from one ``translate`` of the two rows packed into one,
-a byte ``(a << 4) | b`` per entry.
+through the ``+`` table.  ``row_dots`` walks the ``*`` and ``+`` tables
+entry by entry; its one library caller dots rows of length m.  When
+B <= 128, ``_lane_tables`` lets a caller hold many digit sums in the byte
+lanes of one integer, folding them modulo B before any lane passes 255:
+``decompose_cyclic`` adds a code row's pairings with every trace row of
+its context in one C-level sum per chunk of columns.
 """
 
 from __future__ import annotations
@@ -61,7 +64,6 @@ from .errors import BudgetExceeded, SpecError
 GALOIS_RING = "GR"
 EU_POWER_SERIES = "EU"
 TABLE_CAP = 256  # rings with at most this many elements use lookup tables
-PAIR_CAP = 16  # rings with at most this many elements pack index pairs in a byte
 # The largest q whose GR modulus is Hensel-lifted: the lift works on the
 # dense X^(q-1) - 1 and takes seconds at q = 3^8.
 HENSEL_CAP = 6561
@@ -265,7 +267,6 @@ class ChainRing:
             theta = (0, 1) + (0,) * (width - 2)
         self.theta = self.make(theta)
         self.has_tables = self.size <= TABLE_CAP
-        self._pairs = self.size <= PAIR_CAP
         if self.has_tables:
             self._build_tables()
         else:
@@ -300,18 +301,6 @@ class ChainRing:
         return _translation([self._val_tab[i] for i in range(self.size)])
 
     @cached_property
-    def _pair_mul(self) -> bytes:
-        """The table of (a << 4) | b -> a*b, for |R| <= PAIR_CAP."""
-        mul, size = self._mul_rows, self.size
-        return bytes(
-            [
-                mul[a][b] if a < size and b < size else 0
-                for a in range(16)
-                for b in range(16)
-            ]
-        )
-
-    @cached_property
     def _digits(self) -> tuple[int, int]:
         """(B, d): indices are d-digit base-B numbers, and addition adds
         their digits modulo B."""
@@ -320,16 +309,48 @@ class ChainRing:
         return self.p, self.r * self.s
 
     @cached_property
-    def _high_digits(self) -> tuple[tuple[bytes, int], ...]:
-        """Per index digit k >= 1: (table of index -> digit k, B^k)."""
+    def _lane_tables(self):
+        """Tables for sums of index digits held one per byte lane, or None
+        without tables or when B > 128, where a lane cannot hold a residue
+        below B plus one more digit.
+
+        ``width`` digits (each below B) add to a lane holding a residue
+        below B without passing 255.  ``split[k]`` takes an index to its
+        digit k, and ``fold`` takes a lane sum y to y mod B.  ``marks``
+        takes a lane sum y to the bit 1 << v, v the valuation of the
+        element of index y mod B, and to 0 when y mod B is 0; ``reads[k]``
+        takes an OR of marks of digit-k lanes to its lowest bit plus the
+        valuation of B^k, and 0 to s.  An element's valuation is the least
+        over its digits k of the valuation of digit_k * B^k, which is that
+        of digit_k plus that of B^k (the least p-adic valuation of its GR
+        coordinates, the least u-power with a nonzero EU coordinate)."""
+        if not self.has_tables:
+            return None
         base, count = self._digits
-        return tuple(
-            (
-                _translation([i // base**k % base for i in range(self.size)]),
-                base**k,
-            )
-            for k in range(1, count)
+        width = (256 - base) // (base - 1)
+        if width < 1:
+            return None
+        split = tuple(
+            _translation([i // base**k % base for i in range(self.size)])
+            for k in range(count)
         )
+        fold = _translation([y % base for y in range(256)])
+        bits = [1 << v for v in range(self.s)] + [0]  # valuation s: no bit
+        marks = fold.translate(
+            _translation([bits[self._val_tab[i]] for i in range(base)])
+        )
+        reads = tuple(
+            _translation(
+                [
+                    (y & -y).bit_length() - 1 + self._val_tab[base**k]
+                    if y
+                    else self.s
+                    for y in range(256)
+                ]
+            )
+            for k in range(count)
+        )
+        return width, split, fold, marks, reads
 
     @cached_property
     def _sum_tables(self):
@@ -540,33 +561,13 @@ class ChainRing:
                     acc = acc + a * b
                 out.append(acc)
             return out
+        add = self._add_rows
+        rows = list(map(self._mul_rows.__getitem__, u))  # x -> u_j*x
         out = []
-        if not self._pairs:
-            add = self._add_rows
-            rows = list(map(self._mul_rows.__getitem__, u))  # x -> u_j*x
-            for v in vs:
-                acc = 0
-                for ua, b in zip(rows, v):
-                    acc = add[acc][ua[b]]
-                out.append(acc)
-            return out
-        # Pack each pair (u_j, v_j) into a byte, look the products up, and
-        # add them digit by digit.  The sum of the indices is the sum of the
-        # lowest digits modulo B, as B divides the weight of every other.
-        n = len(u)
-        high = int.from_bytes(u, "little") << 4
-        pair_mul = self._pair_mul
-        base = self._digits[0]
-        high_digits = self._high_digits
         for v in vs:
-            p = (
-                (high | int.from_bytes(v, "little"))
-                .to_bytes(n, "little")
-                .translate(pair_mul)
-            )
-            acc = sum(p) % base
-            for table, weight in high_digits:
-                acc += sum(p.translate(table)) % base * weight
+            acc = 0
+            for ua, b in zip(rows, v):
+                acc = add[acc][ua[b]]
             out.append(acc)
         return out
 

@@ -15,9 +15,12 @@ The standard form keeps one invariant that the rest of the module reads:
 row i is theta^t_i at its pivot column c_i, zero at the pivot columns of
 the rows before it, a residue modulo theta^t_j at the pivot column of
 each row j after it, and divisible by theta^t_i in every entry, where
-t_0 <= t_1 <= ....  Membership reduces a vector by these rows alone, and
-the dual is read off them by column operations alone, with no second
-elimination.
+t_0 <= t_1 <= ....  Membership reduces a vector by these rows alone.  The
+dual's generators are read off them by column operations alone, but
+``dual()`` then builds ``LinearCode`` from those generators, which
+reduces them to the dual's own standard form: a second elimination, and
+most of a dual's cost (about 400 of 680 µs for a length-20 cyclic code
+over Z9).
 """
 
 from __future__ import annotations
@@ -226,7 +229,8 @@ class LinearCode:
         is needed, and the column operations are applied to Q alone, held
         as its columns ``qcols``.  Then Q y is in the dual exactly when
         theta^t_i y_(c_i) = 0 for every i, so the dual is spanned by
-        theta^(s - t_i) q_(c_i) and the columns q_j of the non-pivot j.
+        theta^(s - t_i) q_(c_i) and the columns q_j of the non-pivot j,
+        which ``LinearCode`` reduces to the dual's standard form.
         """
         ring = self.ring
         n, s = self.length, ring.s

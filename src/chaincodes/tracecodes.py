@@ -6,8 +6,10 @@ code with codewords (Tr(x eta^(z j)))_j, and every cyclic code over R is a
 direct sum of theta-power multiples of these, one per coset.  The levels
 form a (q, s)-cyclotomic partition of {0, ..., ell-1}.  A context holds
 the powers eta^e for e < ell and, built on first use, the traces
-Tr(xi^k eta^e) for k < m and each coset's trace-row code, which reads them
-at the exponents z*j mod ell.
+Tr(xi^k eta^e) for k < m, each coset's trace-row code, which reads them
+at the exponents z*j mod ell, and what ``decompose_cyclic`` pairs codes
+with: the stack of every coset's opposite trace rows and, in a ring whose
+index digits fit byte lanes, the packed images of each stack column.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 from functools import cache, cached_property, partial
 from itertools import product
 from math import gcd
+from operator import getitem
 
 from .chainring import ChainRing, RingElement, _LazyTable
 from .cosets import (
@@ -60,6 +63,40 @@ class EvalContext:
             [ext.trace(ext.top._mul(xk, y)) for y in self.eta_pows]
             for xk in map(ext.xi_pow, range(self.m))
         ]
+
+    @cached_property
+    def opposite_stack(self) -> tuple[list, list[slice]]:
+        """The encoded trace rows of the opposite coset [-z] of each coset
+        [z], stacked in ``cosets()`` order, and each coset's slice of the
+        stack."""
+        ell = self.ell
+        rows, slices = [], []
+        for orbit in cosets(self.universe):
+            opposite = min((-z) % ell for z in orbit.members)
+            hs = self.coset_codes[opposite]._sf
+            slices.append(slice(len(rows), len(rows) + len(hs)))
+            rows.extend(hs)
+        return rows, slices
+
+    @cached_property
+    def column_images(self) -> list[_LazyTable]:
+        """Per column j of the opposite stack (a ring with lane tables),
+        the table a -> ``_column_image`` of a times that column, filled on
+        first use."""
+        rows, _ = self.opposite_stack
+        return [
+            _LazyTable(partial(self._column_image, bytes(column)))
+            for column in zip(*rows)
+        ]
+
+    def _column_image(self, column: bytes, a: int) -> int:
+        """The index digits of a*h_j over the stack rows h, digit-major,
+        one byte each, packed little-endian into one int."""
+        ring = self.ring
+        products = column.translate(ring._mul_bytes[a])
+        split = ring._lane_tables[1]
+        digits = b"".join([products.translate(table) for table in split])
+        return int.from_bytes(digits, "little")
 
 
 @cache
@@ -168,26 +205,88 @@ def decompose_cyclic(code: LinearCode) -> CyclotomicPartition:
         raise NotCyclic(
             f"length {code.length} is not coprime to q = {ring.q}"
         )
-    ell = code.length
-    ctx = context(ring, ell)
+    ctx = context(ring, code.length)
     s = ring.s
-    assignment = {}
-    size = 1
-    for orbit in cosets(ctx.universe):
-        opposite = min((-z) % ell for z in orbit.members)
-        hs = ctx.coset_codes[opposite]._sf
-        level = s
-        for g in code._sf:
+    if ring._lane_tables is None:
+        levels = _dot_levels(ctx, code._sf)
+    else:
+        levels = _packed_levels(ctx, code._sf)
+    universe = ctx.universe
+    blocks = [set() for _ in range(s + 1)]
+    rank = 0  # log_q |D|
+    for orbit, level in zip(cosets(universe), levels):
+        blocks[level] |= orbit.members
+        rank += (s - level) * len(orbit)
+    if ring.q**rank != code.cardinality:
+        raise NotCyclic("code is not invariant under the cyclic shift")
+    return CyclotomicPartition(
+        universe, [CosetSet(universe, frozenset(b)) for b in blocks]
+    )
+
+
+def _packed_levels(ctx: EvalContext, rows) -> list[int]:
+    """Each coset's level, the least valuation of <g, h> over the byte rows
+    g and its slice of the opposite stack, for a ring with lane tables.
+
+    The column images of g's entries hold the index digits of g_j*h_j for
+    every h in the stack, one byte lane per (digit, h), so one integer sum
+    over the columns adds every pairing at once (``_lane_sums``).  Each
+    lane's sum then marks the valuation of its digit as a bit, the marks
+    of all rows are OR-ed, and the least valuation of the pairings with h
+    is read off h's digit lanes."""
+    ring = ctx.ring
+    width, _, fold, marks, reads = ring._lane_tables
+    images = ctx.column_images
+    stack, slices = ctx.opposite_stack
+    height = len(stack)
+    size = height * len(reads)
+    units = int.from_bytes(b"\x01" * height, "little")  # the digit-0 lanes
+    seen = 0
+    for g in rows:
+        sums = _lane_sums(images, g, width, fold, size)
+        seen |= int.from_bytes(sums.translate(marks), "little")
+        if seen & units == units:  # every h has a unit pairing: all levels 0
+            break
+    lanes = seen.to_bytes(size, "little")
+    digits = [
+        lanes[k * height : (k + 1) * height].translate(table)
+        for k, table in enumerate(reads)
+    ]
+    return [min([min(d[sl]) for d in digits]) for sl in slices]
+
+
+def _lane_sums(images, g, width: int, fold: bytes, size: int) -> bytes:
+    """The sum of the column images images[j][g_j] as ``size`` byte lanes,
+    each congruent modulo B to the sum of its digits.  The lanes are folded
+    modulo B after each chunk of ``width`` columns, before any can pass
+    255 and carry into its neighbour."""
+    total = sum(map(getitem, images[:width], g[:width]))
+    for lo in range(width, len(g), width):
+        residue = total.to_bytes(size, "little").translate(fold)
+        total = sum(
+            map(getitem, images[lo : lo + width], g[lo : lo + width]),
+            int.from_bytes(residue, "little"),
+        )
+    return total.to_bytes(size, "little")
+
+
+def _dot_levels(ctx: EvalContext, rows) -> list[int]:
+    """Each coset's level by ``row_dots`` of the rows g against its slice
+    of the opposite stack, for a ring without lane tables."""
+    ring = ctx.ring
+    stack, slices = ctx.opposite_stack
+    levels = []
+    for sl in slices:
+        hs = stack[sl]
+        level = ring.s
+        for g in rows:
             for d in ring.row_dots(g, hs):
                 if d:
                     level = min(level, ring.entry_valuation(d))
             if not level:
                 break
-        assignment[min(orbit.members)] = level
-        size *= ring.q ** ((s - level) * len(orbit))
-    if size != code.cardinality:
-        raise NotCyclic("code is not invariant under the cyclic shift")
-    return make_partition(ctx.universe, s, assignment)
+        levels.append(level)
+    return levels
 
 
 def irreducible_components(code: LinearCode):

@@ -5,12 +5,17 @@ from chaincodes import (
     ChainRing,
     CosetUniverse,
     EvalContext,
+    code_from_partition,
     context,
     cosets,
+    decompose_cyclic,
     extend,
     galois_ring,
+    make_partition,
     make_ring,
+    representatives,
 )
+from chaincodes import tracecodes
 from chaincodes.galois import GaloisExtension
 
 Z9_SPEC = {"family": "GR", "p": 3, "r": 1, "s": 2}
@@ -80,3 +85,33 @@ def test_interning_above_the_cap():
     assert not ring.has_tables
     assert ring.element([5, 7, 1, 0]) is ring.element([5, 7, 1, 0])
     assert ring.element([14, 7, 1, 9]) is ring.element_at(5 + 7 * 9 + 81)
+
+
+def test_second_decompose_reuses_the_stack_and_column_images(monkeypatch):
+    # A fresh context, which decompose_cyclic finds through ``context``,
+    # starts with no stack and no column image.
+    ring = galois_ring(3, 1, 2)
+    ctx = EvalContext(ring, 56)
+    monkeypatch.setattr(tracecodes, "context", lambda r, ell: ctx)
+    built = []
+    image = EvalContext._column_image
+
+    def counted(self, column, a):
+        built.append((column, a))
+        return image(self, column, a)
+
+    monkeypatch.setattr(EvalContext, "_column_image", counted)
+    reps = representatives(ctx.universe)
+    partition = make_partition(
+        ctx.universe, ring.s, {z: i % (ring.s + 1) for i, z in enumerate(reps)}
+    )
+    code = code_from_partition(ctx, partition)
+    assert decompose_cyclic(code) == partition
+    assert built
+    stack = ctx.opposite_stack
+    rows, slices = list(stack[0]), list(stack[1])
+    built.clear()
+    assert decompose_cyclic(code) == partition
+    assert built == []
+    assert ctx.opposite_stack is stack
+    assert stack == (rows, slices)

@@ -1,5 +1,6 @@
 """Tests for evaluation codes, trace codes, and the partition bijection."""
 
+import random
 from math import gcd
 
 import pytest
@@ -34,6 +35,8 @@ from chaincodes import (
 )
 from chaincodes import oracle
 from chaincodes.cosets import coset, representatives
+from chaincodes.tracecodes import _lane_sums
+from test_golden import BIG_RINGS, TABLE_RINGS
 
 Z9 = galois_ring(3, 1, 2)
 CTX4 = context(Z9, 4)
@@ -268,3 +271,145 @@ def outcome(decompose, code):
 @given(random_codes())
 def test_decompose_matches_membership_reference(code):
     assert outcome(decompose_cyclic, code) == outcome(membership_decompose, code)
+
+
+# A length per ring of the golden tests' table rings at which the packed
+# decomposition sums its pairings over several chunks of columns where it
+# can (chunk widths: 30 for Z9 and GR(9,2), 35 for Z8, 8 for Z27), plus
+# F_131, whose base 131 > 128 leaves no lane room and takes ``row_dots``,
+# and GR(25,2), above the table cap.
+PACKED_CASES = [
+    (galois_ring(3, 1, 2), 56),
+    (galois_ring(3, 1, 2), 80),
+    (eu_ring(3, 1, 2), 56),
+    (galois_ring(2, 1, 3), 63),
+    (galois_ring(2, 2, 2), 15),
+    (eu_ring(2, 2, 2), 15),
+    (galois_ring(3, 1, 3), 26),
+    (galois_ring(3, 2, 2), 40),
+    (eu_ring(2, 1, 5), 15),
+    (galois_ring(131, 1, 1), 10),
+    (galois_ring(5, 2, 2), 12),
+]
+
+
+def test_packed_cases_cover_the_golden_rings_and_several_chunks():
+    rings = {ring for ring, _ in PACKED_CASES}
+    assert set(TABLE_RINGS) <= rings
+    assert rings & set(BIG_RINGS)
+    assert galois_ring(131, 1, 1)._lane_tables is None
+    chunked = {
+        ring.short_name()
+        for ring, ell in PACKED_CASES
+        if ring._lane_tables and ell > ring._lane_tables[0]
+    }
+    assert chunked == {
+        "GR(p=3,r=1,s=2)", "GR(p=2,r=1,s=3)", "GR(p=3,r=1,s=3)", "GR(p=3,r=2,s=2)"
+    }
+
+
+@st.composite
+def packed_partitions(draw):
+    ring, ell = draw(st.sampled_from(PACKED_CASES))
+    ctx = context(ring, ell)
+    reps = representatives(ctx.universe)
+    levels = draw(
+        st.lists(st.integers(0, ring.s), min_size=len(reps), max_size=len(reps))
+    )
+    return ctx, make_partition(ctx.universe, ring.s, dict(zip(reps, levels)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(packed_partitions())
+def test_decompose_round_trip_over_every_lane_layout(case):
+    ctx, partition = case
+    code = code_from_partition(ctx, partition)
+    assert decompose_cyclic(code) == partition
+    assert decompose_cyclic(code.dual()) == partition.tilde_dual()
+
+
+@pytest.mark.parametrize("ring, ell", PACKED_CASES)
+def test_decompose_full_and_zero_codes(ring, ell):
+    universe = context(ring, ell).universe
+    blocks = [universe.empty()] * (ring.s + 1)
+    full = decompose_cyclic(full_code(ring, ell))
+    assert full == CyclotomicPartition(universe, [universe.full()] + blocks[1:])
+    zero = decompose_cyclic(zero_code(ring, ell))
+    assert zero == CyclotomicPartition(universe, blocks[1:] + [universe.full()])
+
+
+@pytest.mark.parametrize("ring, ell", PACKED_CASES)
+def test_decompose_rejects_random_non_cyclic_codes(ring, ell):
+    # A random row, alone or added to a random cyclic code: decompose
+    # raises NotCyclic exactly when a cyclic shift leaves the code, which
+    # membership decides without decompose.
+    rnd = random.Random(f"{ring.short_name()}:{ell}")
+    ctx = context(ring, ell)
+    reps = representatives(ctx.universe)
+    rejected = 0
+    for trial in range(6):
+        rows = [[ring.element_at(rnd.randrange(ring.size)) for _ in range(ell)]]
+        if trial % 2:
+            levels = {z: rnd.randrange(ring.s + 1) for z in reps}
+            partition = make_partition(ctx.universe, ring.s, levels)
+            rows += code_from_partition(ctx, partition).sf_rows
+        code = LinearCode(ring, ell, rows)
+        if is_constacyclic(code, ring.one):
+            assert code_from_partition(ctx, decompose_cyclic(code)) == code
+            continue
+        with pytest.raises(NotCyclic):
+            decompose_cyclic(code)
+        rejected += 1
+    assert rejected >= 4
+
+
+def element_pairings(ring, g, stack):
+    """<g, h> for each h in the stack, by coordinate arithmetic."""
+    elems = ring.elements()
+    out = []
+    for h in stack:
+        dot = ring.zero
+        for a, b in zip(g, h):
+            dot = ring._add_coords(dot, ring._mul_coords(elems[a], elems[b]))
+        out.append(dot)
+    return out
+
+
+def check_lane_sums(ring, ell, g):
+    ctx = context(ring, ell)
+    width, _, fold, _, _ = ring._lane_tables
+    base, count = ring._digits
+    stack, _ = ctx.opposite_stack
+    height = len(stack)
+    sums = _lane_sums(ctx.column_images, g, width, fold, height * count)
+    assert all(y < 256 for y in sums)
+    for i, dot in enumerate(element_pairings(ring, g, stack)):
+        lanes = [sums[k * height + i] % base for k in range(count)]
+        assert lanes == [dot.index // base**k % base for k in range(count)]
+
+
+LANE_CASES = [(ring, ell) for ring, ell in PACKED_CASES if ring._lane_tables]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_lane_sums_match_element_arithmetic(data):
+    ring, ell = data.draw(st.sampled_from(LANE_CASES))
+    entries = st.integers(0, ring.size - 1)
+    g = bytes(data.draw(st.lists(entries, min_size=ell, max_size=ell)))
+    check_lane_sums(ring, ell, g)
+
+
+@pytest.mark.parametrize("ring, ell", LANE_CASES)
+def test_lane_sums_at_the_carry_bound(ring, ell):
+    # The first stack row spans C_[0] and is all ones, so its pairing with
+    # g sums the index digits of g's entries.  A first entry that leaves
+    # the first chunk's digit sums at B - 1 modulo B, then entries with
+    # every digit B - 1, fill the next chunk's lanes to the bound.
+    stack, _ = context(ring, ell).opposite_stack
+    assert stack[0] == ring.encode_row([ring.one] * ell)
+    width = ring._lane_tables[0]
+    base, count = ring._digits
+    digit = (2 - width) * (base - 1) % base
+    first = sum(digit * base**k for k in range(count))
+    check_lane_sums(ring, ell, bytes([first] + [ring.size - 1] * (ell - 1)))
