@@ -29,20 +29,24 @@ elements, start empty and are filled on first use, a row of ``+`` or ``*``
 a time, through the coordinate arithmetic that larger rings use directly;
 element arithmetic maps an index back through ``elements()``.
 
-Elimination runs on encoded rows through one kernel: ``encode_row`` gives
-a ``bytes`` string of element indices in a ring with tables and a list of
-elements above the cap, and the row operations (``row_axpy``,
-``row_scale``, ``row_dots``, ``row_valuations``) and the entry operations
-(``entry_valuation``, ``entry_quotient``, ``entry_divide``, ``entry_inv``)
-take and return that encoding.  Zero encodes as a false value either way.
-On byte rows ``row_axpy``, ``row_scale`` and ``row_valuations`` run in C,
-through ``bytes.translate`` with 256-entry tables filled from the index
-tables on first use.  Addition is
-digit-wise on indices (base B = ``p^s`` for ``GR``, ``p`` for ``EU``).
-When an index's digits re-spelt in base 2B fit a byte, ``row_axpy`` adds
-two rows as integers (``int.from_bytes``), where no sum carries, and folds
-the sums back with one ``translate``; otherwise it adds entry by entry
-through the ``+`` table.  ``row_dots`` walks the ``*`` and ``+`` tables
+Elimination runs on encoded rows: ``encode_row`` gives a ``bytes`` string
+of element indices in a ring with tables and a list of elements above the
+cap, and the row operations (``row_add``, ``row_axpy``, ``row_scale``,
+``row_divide``, ``neg_outer``, ``row_dots``, ``row_valuations``) and the
+entry operations (``entry_valuation``, ``entry_quotient``,
+``entry_divide``, ``entry_inv``) take and return that encoding.  Zero
+encodes as a false value either way.  On byte rows they run in C, through
+``bytes.translate`` with 256-entry tables filled from the index tables on
+first use.  Addition is digit-wise on indices (base B = ``p^s`` for
+``GR``, ``p`` for ``EU``).  When an index's digits re-spelt in base 2B fit
+a byte, ``row_add`` adds two rows as integers (``int.from_bytes``), where
+no sum carries, and folds the sums back with one ``translate``; otherwise
+it adds entry by entry through the ``+`` table.  ``eliminate`` reduces a
+matrix to its standard form by one rank-1 update of the whole matrix per
+pivot, and ``apply_row_ops`` applies a sequence of rank-1 row operations;
+both hold the matrix in byte lanes (``_lanes``) when the digits fit, so
+that an update is one integer sum and the fold back to indices waits for
+several updates.  ``row_dots`` walks the ``*`` and ``+`` tables
 entry by entry; its one library caller dots rows of length m.  When
 B <= 128, ``_lane_tables`` lets a caller hold many digit sums in the byte
 lanes of one integer, folding them modulo B before any lane passes 255:
@@ -183,6 +187,22 @@ def _translation(entries) -> bytes:
     return bytes(entries) + bytes(256 - len(entries))
 
 
+# Sets bit 7 of a lane: ``ChainRing.eliminate`` marks the pivot rows.
+_MARK = bytes(y | 0x80 for y in range(256))
+
+
+def _lane_sum(u, w) -> bytes:
+    """Two rows of byte lanes added lane by lane, no lane carrying."""
+    total = int.from_bytes(u, "little") + int.from_bytes(w, "little")
+    return total.to_bytes(len(u), "little")
+
+
+def _or_bytes(u, w) -> bytes:
+    """Two byte rows OR-ed byte by byte."""
+    total = int.from_bytes(u, "little") | int.from_bytes(w, "little")
+    return total.to_bytes(len(u), "little")
+
+
 def _foreign(other) -> SpecError:
     return SpecError(f"{other!r} is an element of another ring")
 
@@ -293,12 +313,22 @@ class ChainRing:
             entry(self._quotient_digits, v) for v in range(self.s + 1)
         ]
         self._mul_bytes = _LazyTable(lambda c: _translation(self._mul_rows[c]))
+        self._neg_mul_bytes = _LazyTable(lambda c: self._mul_bytes[self._neg_tab[c]])
 
     # Translation tables of the byte-row kernel, built on first use.
 
     @cached_property
     def _val_bytes(self) -> bytes:
         return _translation([self._val_tab[i] for i in range(self.size)])
+
+    @cached_property
+    def _quo_bytes(self) -> _LazyTable:
+        """Per t, the translation of ``_quo_tabs[t]``; for t = 0 the
+        identity, which fills no entry."""
+        quo, indices = self._quo_tabs, range(self.size)
+        return _LazyTable(
+            lambda t: _translation([quo[t][i] for i in indices] if t else indices)
+        )
 
     @cached_property
     def _digits(self) -> tuple[int, int]:
@@ -377,6 +407,43 @@ class ChainRing:
             ]
         )
         return None if count == 1 else code, fold
+
+    @cached_property
+    def _lanes(self):
+        """Tables that hold index rows in byte lanes taking several sums
+        before a fold, or None without tables or when no lane layout fits.
+
+        A lane re-spells an index's d base-B digits in base W, the largest
+        W with W^d <= 128, so lanes stay below 128 and bit 7 is free to
+        mark a row.  Digits below B take ``headroom`` = (W - B) // (B - 1)
+        more adds of digits below B before any reaches W and carries, so a
+        matrix is folded back to digits below B once every ``headroom``
+        adds.  ``code`` takes an index to its lane, ``fold`` a lane (bit 7
+        ignored) to the index of its digits mod B, ``refold`` a lane to the
+        lane of that index, bit 7 kept, and ``search`` a lane to the
+        valuation of that index, or to 0x80 when bit 7 is set."""
+        if not self.has_tables:
+            return None
+        base, count = self._digits
+        wide = 2
+        while (wide + 1) ** count <= 128:
+            wide += 1
+        headroom = (wide - base) // (base - 1)
+        if wide**count > 128 or headroom < 1:
+            return None
+        code = _translation(
+            [
+                sum(i // base**k % base * wide**k for k in range(count))
+                for i in range(self.size)
+            ]
+        )
+        fold = bytes(
+            sum((y & 0x7F) // wide**k % wide % base * base**k for k in range(count))
+            for y in range(256)
+        )
+        refold = bytes(code[fold[y]] | (y & 0x80) for y in range(256))
+        search = fold[:128].translate(self._val_bytes) + b"\x80" * 128
+        return code, fold, search, refold, headroom
 
     def short_name(self) -> str:
         return f"{self.family}(p={self.p},r={self.r},s={self.s})"
@@ -525,11 +592,19 @@ class ChainRing:
             return tuple([elems[x] for x in v])
         return tuple(v)
 
-    def row_axpy(self, u, c, v):
-        """The row u - c*v, entrywise."""
+    def columns(self, rows):
+        """The matrix of the encoded rows held column-major as one encoded
+        row: entry (i, j) at j * len(rows) + i."""
         if not self.has_tables:
-            return [a - c * b for a, b in zip(u, v)]
-        w = v.translate(self._mul_bytes[self._neg_tab[c]])  # (-c)*v
+            return [a for column in zip(*rows) for a in column]
+        width = len(rows[0]) if rows else 0
+        flat = b"".join(rows)
+        return b"".join([flat[j::width] for j in range(width)])
+
+    def row_add(self, u, w):
+        """The row u + w, entrywise."""
+        if not self.has_tables:
+            return [a + b for a, b in zip(u, w)]
         tables = self._sum_tables
         if tables is None:
             return bytes(map(getitem, map(self._add_rows.__getitem__, u), w))
@@ -538,6 +613,23 @@ class ChainRing:
             u, w = u.translate(code), w.translate(code)
         total = int.from_bytes(u, "little") + int.from_bytes(w, "little")
         return total.to_bytes(len(u), "little").translate(fold)
+
+    def neg_outer(self, x, y):
+        """The row of the entries -x_i * y_j, i-major: the matrix -x y^T
+        held row-major, or -y x^T held column-major.  With tables it is
+        one ``translate`` of y per distinct entry of x."""
+        if not self.has_tables:
+            return [a * b for a in map(self._neg, x) for b in y]
+        keys = set(x)
+        tables = map(self._neg_mul_bytes.__getitem__, keys)
+        images = dict(zip(keys, map(y.translate, tables)))
+        return b"".join(map(images.__getitem__, x))
+
+    def row_axpy(self, u, c, v):
+        """The row u - c*v, entrywise."""
+        if not self.has_tables:
+            return [a - c * b for a, b in zip(u, v)]
+        return self.row_add(u, v.translate(self._mul_bytes[self._neg_tab[c]]))
 
     def row_scale(self, c, v):
         """The row c*v, entrywise."""
@@ -550,6 +642,159 @@ class ChainRing:
         if not self.has_tables:
             return [self.theta_valuation(a) for a in v]
         return v.translate(self._val_bytes)
+
+    def row_divide(self, v, t: int):
+        """``entry_divide`` of each entry by theta^t; raises SpecError
+        unless theta^t divides every entry."""
+        if not self.has_tables:
+            return [self.theta_shift_down(a, t) for a in v]
+        if min(v.translate(self._val_bytes), default=t) < t:
+            raise SpecError("element is not divisible by theta^t")
+        return v.translate(self._quo_bytes[t])
+
+    def eliminate(self, rows, width: int):
+        """Valuation-greedy elimination of encoded rows of ``width``
+        entries: (standard-form rows, pivots), each pivot a (column,
+        valuation) pair.
+
+        The matrix is held column-major, h rows high.  Each pivot is the
+        first entry of least valuation t outside the pivot rows so far: the
+        least column col, and in it the first row j.  One rank-1 update of
+        the whole matrix then subtracts the multiple entry_quotient(b, t)
+        of the pivot row, scaled to theta^t at col, from every row with b
+        at col: rows not yet pivots lose the column, and pivot rows keep
+        its residue modulo theta^t.  Row j itself, unit * (the scaled
+        row), takes coefficient unit - 1 and becomes the scaled row.  No
+        row is swapped: the standard form does not depend on the order of
+        the rows.
+
+        With tables the update touches only the columns between the first
+        and the last nonzero entry of the pivot row.  With ``_lanes`` the
+        matrix holds lanes, not indices: a column range is updated by one
+        integer sum, the lanes are folded back to indices only every
+        ``headroom`` updates, and bit 7 of a lane marks the pivot rows,
+        which the search table maps past every valuation."""
+        rows = [r for r in rows if any(r)]
+        if not rows:
+            return [], []
+        if not self.has_tables:
+            return self._eliminate_elements(rows, width)
+        h = len(rows)
+        x = bytearray(self.columns(rows))
+        add, inv, quo = self._add_rows, self._inv_tab, self._quo_tabs
+        mul, quo_bytes = self._mul_bytes, self._quo_bytes
+        minus_one = self._neg_tab[self.one.index]
+        marks = b"\x80" * width
+        lanes = self._lanes
+        if lanes is None:
+            search = self._val_bytes
+            marked = bytearray(len(x))  # 0x80 at each entry of a pivot row
+        else:
+            code, fold, search, refold, headroom = lanes
+            x = x.translate(code)
+            fresh = headroom
+        vals = x.translate(search)
+        levels = range(self.s)
+        chosen, pivots = [], []
+        while True:
+            for t in levels:
+                at = vals.find(t)
+                if at >= 0:
+                    break
+            else:
+                break
+            col, j = divmod(at, h)
+            row, column = x[j::h], x[col * h : (col + 1) * h]
+            if lanes is not None:
+                row, column = row.translate(fold), column.translate(fold)
+            unit = quo[t][row[col]]
+            row = row.translate(mul[inv[unit]])
+            coeffs = column.translate(quo_bytes[t])
+            coeffs[j] = add[unit][minus_one]
+            # Row j is marked everywhere, for the windows of later updates;
+            # its entries change only in this update's window.
+            if lanes is None:
+                marked[j::h] = marks
+            else:
+                x[j::h] = x[j::h].translate(_MARK)
+            if not any(coeffs):
+                vals[j::h] = marks
+            else:
+                lo = width - len(row.lstrip(b"\0"))
+                delta = self.neg_outer(row[lo : len(row.rstrip(b"\0"))], coeffs)
+                a, z = lo * h, lo * h + len(delta)
+                if lanes is None:
+                    x[a:z] = self.row_add(x[a:z], delta)
+                    vals[a:z] = _or_bytes(x[a:z].translate(search), marked[a:z])
+                else:
+                    if not fresh:
+                        x = x.translate(refold)
+                        fresh = headroom
+                    x[a:z] = _lane_sum(x[a:z], delta.translate(code))
+                    fresh -= 1
+                    vals[a:z] = x[a:z].translate(search)
+            chosen.append(j)
+            pivots.append((col, t))
+        if lanes is not None:
+            x = x.translate(fold)
+        return [bytes(x[j::h]) for j in chosen], pivots
+
+    def _eliminate_elements(self, rows, width: int):
+        """``eliminate`` above the cap, on lists of elements."""
+        h, s = len(rows), self.s
+        x = self.columns(rows)
+        done = set()
+        chosen, pivots = [], []
+        while True:
+            vals = map(self.theta_valuation, x)
+            hit = min(
+                ((t, i) for i, t in enumerate(vals) if t < s and i % h not in done),
+                default=None,
+            )
+            if hit is None:
+                break
+            t, at = hit
+            col, j = divmod(at, h)
+            unit = self.theta_shift_down(x[at], t)
+            row = self.row_scale(self.inv(unit), x[j::h])
+            coeffs = [self.theta_quotient(b, t) for b in x[col * h : (col + 1) * h]]
+            coeffs[j] = unit - self.one
+            x = self.row_add(x, self.neg_outer(row, coeffs))
+            done.add(j)
+            chosen.append(j)
+            pivots.append((col, t))
+        return [x[j::h] for j in chosen], pivots
+
+    def apply_row_ops(self, m, width: int, ops):
+        """The row-major matrix m (encoded, rows of ``width`` entries) after
+        the row operations ``ops``, in order: for each (coeffs, r), every
+        row i loses coeffs_i times row r as it stands then.  Each is one
+        rank-1 update of the rows between the first and the last nonzero
+        coefficient, in lanes when the ring has them."""
+        lanes = self._lanes
+        if lanes is None:
+            for coeffs, r in ops:
+                if any(coeffs):
+                    pivot = m[r * width : (r + 1) * width]
+                    m = self.row_add(m, self.neg_outer(coeffs, pivot))
+            return m
+        code, fold, _, refold, headroom = lanes
+        x = bytearray(m).translate(code)
+        fresh = headroom
+        for coeffs, r in ops:
+            lo = len(coeffs) - len(coeffs.lstrip(b"\0"))
+            part = coeffs[lo : len(coeffs.rstrip(b"\0"))]
+            if not part:
+                continue
+            pivot = x[r * width : (r + 1) * width].translate(fold)
+            if not fresh:
+                x = x.translate(refold)
+                fresh = headroom
+            delta = self.neg_outer(part, pivot).translate(code)
+            a, z = lo * width, lo * width + len(delta)
+            x[a:z] = _lane_sum(x[a:z], delta)
+            fresh -= 1
+        return bytes(x.translate(fold))
 
     def row_dots(self, u, vs) -> list:
         """The sums of the entrywise products of u with each row of vs."""

@@ -56,15 +56,23 @@ def concatenation_code(code: LinearCode, gamma: RingElement, u: int) -> LinearCo
     if not is_constacyclic(code, gamma):
         raise SpecError("code is not gamma-constacyclic")
     rows = [_concatenate_row(g, gamma, u) for g in code._sf]
-    out = LinearCode(ring, u * code.length, rows)
-    assert out.type == code.type
-    return out
+    # Every codeword is a concatenation, whose blocks are unit multiples of
+    # one another, so the least column of any valuation lies in block 0 and
+    # the pivots are those of the code.  With gamma^u = 1 the row
+    # gamma * concat(k) = concat(gamma * k) has block 0 equal to k, so these
+    # rows keep every invariant of the standard form.
+    c = ring.encode(gamma)
+    sf = [ring.row_scale(c, r) for r in rows]
+    return LinearCode._with_form(ring, u * code.length, rows, sf, code.pivots)
 
 
 def _contract_rows(code: LinearCode, gamma: RingElement, u: int) -> LinearCode:
-    """The length-n code whose gamma-concatenation is the length-u*n code:
-    the last block of each standard-form row, once the row is checked to be
-    the concatenation of that block."""
+    """The length-n code whose gamma-concatenation is the length-u*n code,
+    spanned by the last block of each standard-form row, once the row is
+    checked to be the concatenation of that block.  Its standard form is
+    block 0 of the rows, with the same pivots: when every row is a
+    concatenation, so is every codeword, and its least column of any
+    valuation lies in block 0."""
     n = code.length // u
     rows = []
     for g in code._sf:
@@ -74,9 +82,8 @@ def _contract_rows(code: LinearCode, gamma: RingElement, u: int) -> LinearCode:
                 "generator does not follow the concatenation pattern"
             )
         rows.append(tail)
-    contracted = LinearCode(code.ring, n, rows)
-    assert contracted.type == code.type
-    return contracted
+    sf = [g[:n] for g in code._sf]
+    return LinearCode._with_form(code.ring, n, rows, sf, code.pivots)
 
 
 @record

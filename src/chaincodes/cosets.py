@@ -53,7 +53,8 @@ class CosetSet:
     members: frozenset[int]
 
     def __post_init__(self):
-        if any(z < 0 or z >= self.universe.ell for z in self.members):
+        members = self.members
+        if members and (min(members) < 0 or max(members) >= self.universe.ell):
             raise SpecError("members must lie in {0, ..., ell-1}")
 
     def __iter__(self):
@@ -94,7 +95,7 @@ class CosetSet:
 
     def is_q_closed(self) -> bool:
         ell, q = self.universe.ell, self.universe.q
-        return all((z * q) % ell in self.members for z in self.members)
+        return {z * q % ell for z in self.members} <= self.members
 
     def multiples(self, c: int) -> "CosetSet":
         ell = self.universe.ell
@@ -186,16 +187,17 @@ class CyclotomicPartition:
         blocks = tuple(self.blocks)
         if len(blocks) < 2:
             raise SpecError("a partition needs at least two blocks (s >= 1)")
-        covered: set[int] = set()
-        for b in blocks:
-            if b.universe != self.universe:
-                raise SpecError("partition blocks must share the universe")
-            if covered & b.members:
-                raise SpecError("partition blocks overlap")
-            if not b.is_q_closed():
-                raise SpecError("partition blocks must be q-closed")
-            covered |= b.members
-        if covered != set(range(self.universe.ell)):
+        if any(b.universe != self.universe for b in blocks):
+            raise SpecError("partition blocks must share the universe")
+        # Blocks lie in Sigma_ell, so they are disjoint exactly when their
+        # sizes add up to that of their union, and they cover it exactly
+        # when the union has ell members.
+        covered = frozenset().union(*(b.members for b in blocks))
+        if sum(len(b.members) for b in blocks) != len(covered):
+            raise SpecError("partition blocks overlap")
+        if not all(b.is_q_closed() for b in blocks):
+            raise SpecError("partition blocks must be q-closed")
+        if len(covered) != self.universe.ell:
             raise SpecError("partition blocks must cover Sigma_ell")
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "s", len(blocks) - 1)
@@ -252,7 +254,8 @@ class CyclotomicPartition:
         return CyclotomicPartition(self.universe, blocks)
 
     def to_assignment(self) -> dict[int, int]:
-        return {z: self.level_of(z) for z in representatives(self.universe)}
+        level = {z: t for t, b in enumerate(self.blocks) for z in b.members}
+        return {z: level[z] for z in representatives(self.universe)}
 
     def to_json(self) -> dict[str, int]:
         return {str(z): t for z, t in sorted(self.to_assignment().items())}

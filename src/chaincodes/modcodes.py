@@ -6,21 +6,24 @@ theta^t placed by valuation-greedy elimination, giving the type
 
 Elimination runs on the ring's encoded rows (byte strings of element
 indices in a ring with lookup tables, see ``chainring``): a code encodes
-its generators once, reduces them and keeps the encoded standard form
-(``_sf``).  Membership, the dual, ``decompose_cyclic`` and the
-contraction maps work on it, and codes they build take encoded rows, so
-``generators`` and ``sf_rows`` are decoded only when read.
+its generators once, reduces them with ``ChainRing.eliminate``, one
+rank-1 update of the whole matrix per pivot, and keeps the encoded
+standard form (``_sf``).  Membership, the dual, ``decompose_cyclic`` and
+the contraction maps work on it, and codes they build take encoded rows,
+so ``generators`` and ``sf_rows`` are decoded only when read.  A code
+whose standard form is already known, a contraction or a concatenation,
+is built with it (``_with_form``) and not reduced again.
 
 The standard form keeps one invariant that the rest of the module reads:
 row i is theta^t_i at its pivot column c_i, zero at the pivot columns of
 the rows before it, a residue modulo theta^t_j at the pivot column of
 each row j after it, and divisible by theta^t_i in every entry, where
 t_0 <= t_1 <= ....  Membership reduces a vector by these rows alone.  The
-dual's generators are read off them by column operations alone, but
-``dual()`` then builds ``LinearCode`` from those generators, which
-reduces them to the dual's own standard form: a second elimination, and
-most of a dual's cost (about 400 of 680 µs for a length-20 cyclic code
-over Z9).
+dual's generators are read off them by column operations alone, one
+rank-1 update per standard-form row, but ``dual()`` then builds
+``LinearCode`` from those generators, which reduces them to the dual's own
+standard form: a second elimination, and most of a dual's cost (about 105
+of 180 µs for a length-20 cyclic code over Z9).
 """
 
 from __future__ import annotations
@@ -85,7 +88,7 @@ class LinearCode:
         self.ring = ring
         self.length = length
         self._gens = tuple(encoded)
-        self._reduce(encoded)
+        self._set_form(*ring.eliminate(encoded, length))
 
     @cached_property
     def generators(self) -> tuple:
@@ -95,53 +98,23 @@ class LinearCode:
     def sf_rows(self) -> tuple:
         return tuple([self.ring.decode_row(r) for r in self._sf])
 
-    def _reduce(self, rows):
-        ring = self.ring
-        s = ring.s
+    @classmethod
+    def _with_form(cls, ring: ChainRing, length: int, gens, sf, pivots):
+        """The code spanned by the encoded rows ``gens`` whose standard form
+        is known to be ``sf`` with ``pivots``: nothing is checked or
+        reduced."""
+        code = cls.__new__(cls)
+        code.ring = ring
+        code.length = length
+        code._gens = tuple(gens)
+        code._set_form(list(sf), pivots)
+        return code
 
-        def lead(row):
-            # The row's least valuation at its first column; zero entries
-            # have valuation s.
-            vals = ring.row_valuations(row)
-            for v in range(s):
-                if v in vals:
-                    return v, vals.index(v)
-            return s, 0
-
-        rows = [r for r in rows if any(r)]
-        leads = [lead(r) for r in rows]  # kept for the rows not yet pivots
-        pivots: list[tuple[int, int]] = []  # (column, theta-valuation)
-        done = 0
-        while True:
-            # The least (valuation, column, row) over the nonzero entries.
-            cands = [
-                (v, c, j)
-                for j, (v, c) in enumerate(leads[done:], done)
-                if v < s
-            ]
-            if not cands:
-                break
-            val, col, j = min(cands)
-            rows[done], rows[j] = rows[j], rows[done]
-            leads[done], leads[j] = leads[j], leads[done]
-            scale = ring.entry_inv(ring.entry_divide(rows[done][col], val))
-            rows[done] = row = ring.row_scale(scale, rows[done])
-            for k, other in enumerate(rows):
-                b = other[col]
-                if k == done or not b:
-                    continue
-                # Rows below lose the pivot column; rows above keep its
-                # residue modulo theta^val.
-                if k > done and ring.entry_valuation(b) < val:
-                    raise AssertionError("valuation-greedy pivot violated")
-                coeff = ring.entry_quotient(b, val)
-                if coeff:
-                    rows[k] = ring.row_axpy(other, coeff, row)
-                    if k > done:
-                        leads[k] = lead(rows[k])
-            pivots.append((col, val))
-            done += 1
-        self._sf = rows[:done]
+    def _set_form(self, sf, pivots):
+        """Keep the standard form and read the type, rank and cardinality
+        off its pivots."""
+        ring, s = self.ring, self.ring.s
+        self._sf = sf
         self.pivots = tuple(pivots)
         kt = [0] * s
         for _, v in pivots:
@@ -226,28 +199,42 @@ class LinearCode:
         pivot, and changes no other row, because column c_i is theta^t_i at
         row i and zero at every other: the rows before i are cleared
         already, and the rows after it are zero there.  No row operation
-        is needed, and the column operations are applied to Q alone, held
-        as its columns ``qcols``.  Then Q y is in the dual exactly when
+        is needed, and the column operations of row i are applied to Q
+        alone, as one rank-1 update.  Then Q y is in the dual exactly when
         theta^t_i y_(c_i) = 0 for every i, so the dual is spanned by
         theta^(s - t_i) q_(c_i) and the columns q_j of the non-pivot j,
         which ``LinearCode`` reduces to the dual's standard form.
         """
-        ring = self.ring
-        n, s = self.length, ring.s
-        one, zero = ring.one, ring.zero
-        qcols = [
-            ring.encode_row([one if i == j else zero for i in range(n)])
-            for j in range(n)
-        ]
+        ring, n, s = self.ring, self.length, self.ring.s
+        zero, one = ring.encode_row([ring.zero]), ring.encode_row([ring.one])
+
+        def unit(c):
+            return zero * c + one + zero * (n - c - 1)
+
+        # A column operation adds a multiple of some q_(c_i), which stays
+        # zero off the entries c_0, ..., c_(k-1), so q_j is e_j but at
+        # those entries.  They are held as qp, n rows of k (row j holds q_j
+        # at c_0, ..., c_(k-1)), and the operations of standard-form row i
+        # are one rank-1 update of qp.
+        cols = [c for c, _ in self.pivots]
+        k = len(cols)
+        qp = ring.columns([unit(c) for c in cols])
+        ops = []
         for row, (col, val) in zip(self._sf, self.pivots):
-            for j, b in enumerate(row):
-                if b and j != col:
-                    coeff = ring.entry_divide(b, val)
-                    qcols[j] = ring.row_axpy(qcols[j], coeff, qcols[col])
+            coeffs = ring.row_divide(row, val)
+            ops.append((coeffs[:col] + zero + coeffs[col + 1 :], col))
+        qp = ring.apply_row_ops(qp, k, ops)
+        place = {c: i for i, c in enumerate(cols)}
+        # Q^T row-major, from the rows of Q: row c_l is column l of qp, and
+        # every other row c is e_c.
+        qt = ring.columns(
+            [qp[place[c] :: k] if c in place else unit(c) for c in range(n)]
+        )
         levels = dict(self.pivots)
         gens = []
-        for j, col in enumerate(qcols):
+        for j in range(n):
             t = levels.get(j, s)
+            col = qt[j * n : (j + 1) * n]
             if t == s:
                 gens.append(col)
             elif t:
@@ -335,10 +322,17 @@ def membership(code: LinearCode, v) -> bool:
 
 
 def is_constacyclic(code: LinearCode, gamma: RingElement) -> bool:
-    """tau_gamma-invariance, checked on generators (sufficient by linearity)."""
-    if gamma.ring is not code.ring:
+    """tau_gamma-invariance, checked on generators (sufficient by linearity):
+    each encoded standard-form row, shifted, must be in the code."""
+    ring = code.ring
+    if gamma.ring is not ring:
         raise SpecError("gamma must belong to the code's ring")
-    return all(constashift(g, gamma) in code for g in code.sf_rows)
+    if code._sf and not ring.is_unit(gamma):
+        raise SpecError("constashift requires a unit multiplier")
+    c = ring.encode(gamma)
+    return all(
+        code._holds(ring.row_scale(c, g[-1:]) + g[:-1]) for g in code._sf
+    )
 
 
 def residue_code(code: LinearCode) -> LinearCode:

@@ -142,16 +142,16 @@ def adjoint_pull_back_dual(result, u):
     return LinearCode(ring, n, rows).dual()
 
 
-@pytest.mark.parametrize(
-    "ring,ell,u",
-    [
-        pytest.param(Z9, 20, 2, id="Z9-20-u2"),
-        pytest.param(eu_ring(3, 1, 2), 20, 2, id="F3u2-20-u2"),
-        pytest.param(galois_ring(3, 1, 3), 20, 2, id="Z27-20-u2"),
-        pytest.param(Z25, 12, 4, id="Z25-12-u4"),
-        pytest.param(GR4, 15, 3, id="GR4-15-u3"),
-    ],
-)
+CONTRACTIBLE_CASES = [
+    pytest.param(Z9, 20, 2, id="Z9-20-u2"),
+    pytest.param(eu_ring(3, 1, 2), 20, 2, id="F3u2-20-u2"),
+    pytest.param(galois_ring(3, 1, 3), 20, 2, id="Z27-20-u2"),
+    pytest.param(Z25, 12, 4, id="Z25-12-u4"),
+    pytest.param(GR4, 15, 3, id="GR4-15-u3"),
+]
+
+
+@pytest.mark.parametrize("ring,ell,u", CONTRACTIBLE_CASES)
 def test_contract_dual_matches_dual(ring, ell, u):
     seen = set()
     for c in contractible_codes(ring, ell, u):
@@ -164,6 +164,30 @@ def test_contract_dual_matches_dual(ring, ell, u):
     assert {omega for omega, _, _ in seen} == set(range(u))
     assert any(zero for _, _, zero in seen)
     assert any(big and not zero for _, big, zero in seen)
+
+
+@pytest.mark.parametrize("ring,ell,u", CONTRACTIBLE_CASES)
+def test_carried_standard_forms_match_reduction(ring, ell, u):
+    # contract_code, contract_dual and concatenation_code build their
+    # standard form from the input's; reducing their generators again
+    # gives the same rows and pivots, and the generators are the blocks
+    # and concatenations of standard-form rows.
+    for c in contractible_codes(ring, ell, u):
+        res = contract_quietly(c, u)
+        k, n = res.code, res.code.length
+        big = concatenation_code(k, res.gamma, u)
+        built = [k, contract_dual(res, u), big]
+        if not k.is_zero():
+            assert k.generators == tuple(g[-n:] for g in c.sf_rows)
+            assert big.generators == tuple(
+                concatenate(g, res.gamma, u) for g in k.sf_rows
+            )
+            assert big.same_code(c)
+        for code in built:
+            again = LinearCode(ring, code.length, code.generators)
+            assert (code.sf_rows, code.pivots) == (again.sf_rows, again.pivots)
+            assert code.type == again.type
+            assert code.cardinality == again.cardinality
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaincodes import (
+    CosetSet,
     CosetUniverse,
     CyclotomicPartition,
     SingletonViolation,
@@ -235,3 +236,56 @@ def test_counts_list_no_coset(monkeypatch):
         assert partition_count(universe, 2) == 3**n
         assert count_cyclic_codes(z9, ell) == (3**n, 2**n)
     assert time.perf_counter() - start < 1.0
+
+
+@st.composite
+def partitions(draw):
+    """A random (q, s)-cyclotomic partition with at least two cosets."""
+    ell = draw(st.integers(2, 60))
+    q = draw(st.sampled_from([q for q in (2, 3, 4, 5, 7, 9) if gcd(q, ell) == 1]))
+    s = draw(st.integers(1, 3))
+    universe = CosetUniverse(ell, q)
+    reps = representatives(universe)
+    levels = {z: draw(st.integers(0, s)) for z in reps}
+    return make_partition(universe, s, levels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(partitions(), st.data())
+def test_partition_checks_refuse_every_fault(p, data):
+    # The set-level checks still refuse out-of-range members, overlapping,
+    # non-q-closed and non-covering blocks, each with its own message.
+    universe, blocks = p.universe, list(p.blocks)
+    assert CyclotomicPartition(universe, blocks) == p
+    assert make_partition(universe, p.s, p.to_assignment()) == p
+    ell, q = universe.ell, universe.q
+    bad = data.draw(st.sampled_from([-1, ell, ell + 7]))
+    with pytest.raises(SpecError, match="ell-1"):
+        CosetSet(universe, blocks[0].members | {bad})
+    orbits = cosets(universe)
+    orbit = data.draw(st.sampled_from(orbits))
+    t = p.level_of(min(orbit.members))
+    other = data.draw(st.sampled_from([u for u in range(p.s + 1) if u != t]))
+    # overlap: a coset also in a second block
+    overlap = list(blocks)
+    overlap[other] = overlap[other].union(orbit)
+    with pytest.raises(SpecError, match="overlap"):
+        CyclotomicPartition(universe, overlap)
+    # no cover: a coset in no block
+    gap = list(blocks)
+    gap[t] = gap[t].difference(orbit)
+    with pytest.raises(SpecError, match="cover"):
+        CyclotomicPartition(universe, gap)
+    # not q-closed: one member of a coset of two or more moved to another
+    # block, which leaves the blocks disjoint and covering
+    moved = [z for z in range(ell) if z * q % ell != z]
+    if moved:
+        z = data.draw(st.sampled_from(moved))
+        t = p.level_of(z)
+        dest = (t + 1) % (p.s + 1)
+        single = universe.subset([z])
+        split = list(blocks)
+        split[t] = split[t].difference(single)
+        split[dest] = split[dest].union(single)
+        with pytest.raises(SpecError, match="q-closed"):
+            CyclotomicPartition(universe, split)

@@ -115,6 +115,52 @@ def test_is_constacyclic():
     assert is_constacyclic(zero_code(Z9, 3), Z9.element([2]))
 
 
+def constacyclic_by_decoding(code, gamma):
+    """is_constacyclic on decoded rows: each standard-form row's
+    constashift, re-encoded, in the code."""
+    return all(constashift(g, gamma) in code for g in code.sf_rows)
+
+
+CONSTA_RINGS = [
+    Z9,
+    eu_ring(3, 1, 2),
+    galois_ring(2, 2, 2),
+    galois_ring(3, 2, 2),  # no byte lanes
+    galois_ring(3, 2, 3),  # above the table cap
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_is_constacyclic_matches_decoded_rows(data):
+    # Codes spanned by a row's constashifts are gamma-constacyclic; the
+    # same rows with one shift left out, or random rows, mostly are not.
+    ring = data.draw(st.sampled_from(CONSTA_RINGS))
+    n = data.draw(st.integers(1, 7))
+    pick = st.integers(0, ring.size - 1).map(ring.element_at)
+    units = st.integers(0, ring.size - 1).map(ring.element_at).filter(ring.is_unit)
+    gamma = data.draw(units)
+    v = tuple(data.draw(pick) for _ in range(n))
+    shifts = [v]
+    for _ in range(n - 1):
+        shifts.append(constashift(shifts[-1], gamma))
+    other = [tuple(data.draw(pick) for _ in range(n)) for _ in range(2)]
+    codes = [
+        LinearCode(ring, n, shifts),
+        LinearCode(ring, n, shifts[:-1]),
+        LinearCode(ring, n, other),
+    ]
+    assert is_constacyclic(codes[0], gamma)
+    for code in codes:
+        for g in (gamma, data.draw(units)):
+            assert is_constacyclic(code, g) == constacyclic_by_decoding(code, g)
+    with pytest.raises(SpecError):  # theta is not a unit
+        is_constacyclic(full_code(ring, n), ring.theta)
+    foreign = galois_ring(2, 1, 2) if ring is Z9 else Z9
+    with pytest.raises(SpecError):
+        is_constacyclic(codes[0], foreign.one)
+
+
 def test_residue_code():
     c = z9_code([[3, 3]])
     assert residue_code(c).is_zero()

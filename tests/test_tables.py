@@ -23,11 +23,23 @@ BIG_RINGS = [galois_ring(2, 1, 9), galois_ring(3, 2, 3), eu_ring(3, 2, 3)]
 # row kernel adds them one entry at a time.
 WIDE_DIGIT_RINGS = [galois_ring(2, 1, 8), galois_ring(131, 1, 1)]
 
+# Table rings without byte lanes, whose elimination adds through the ``+``
+# rows: two digits base 9, and four base 3.
+PLUS_ROW_RINGS = [galois_ring(3, 2, 2), eu_ring(3, 2, 2)]
+
 
 @st.composite
 def small_rings(draw):
     make, p, r, s = draw(st.sampled_from(SMALL_RINGS))
     return make(p, r, s)
+
+
+@st.composite
+def table_rings(draw):
+    """Every table ring kind: lanes of one or several digits, and none."""
+    return draw(
+        st.one_of(small_rings(), st.sampled_from(WIDE_DIGIT_RINGS + PLUS_ROW_RINGS))
+    )
 
 
 @st.composite
@@ -37,12 +49,56 @@ def elements(draw, ring):
 
 
 @st.composite
-def generator_matrices(draw):
-    ring = draw(small_rings())
-    n = draw(st.integers(1, 4))
-    k = draw(st.integers(0, 4))
-    rows = [[draw(elements(ring)) for _ in range(n)] for _ in range(k)]
-    return ring, n, rows
+def generator_matrices(draw, rings=table_rings(), size=24):
+    """Up to ``size`` rows of up to ``size`` entries, so that many pivots
+    run per matrix."""
+    ring = draw(rings)
+    n = draw(st.integers(1, size))
+    k = draw(st.integers(0, size))
+    row = st.lists(elements(ring), min_size=n, max_size=n)
+    return ring, n, draw(st.lists(row, min_size=k, max_size=k))
+
+
+def row_by_row_reduce(ring, rows):
+    """The valuation-greedy elimination one ``row_axpy`` per row, rows
+    swapped into place, as (sf rows, pivots, type) on encoded rows."""
+    s = ring.s
+
+    def lead(row):
+        vals = ring.row_valuations(row)
+        for v in range(s):
+            if v in vals:
+                return v, vals.index(v)
+        return s, 0
+
+    rows = [r for r in map(ring.encode_row, rows) if any(r)]
+    leads = [lead(r) for r in rows]
+    pivots = []
+    done = 0
+    while True:
+        cands = [(v, c, j) for j, (v, c) in enumerate(leads[done:], done) if v < s]
+        if not cands:
+            break
+        val, col, j = min(cands)
+        rows[done], rows[j] = rows[j], rows[done]
+        leads[done], leads[j] = leads[j], leads[done]
+        scale = ring.entry_inv(ring.entry_divide(rows[done][col], val))
+        rows[done] = row = ring.row_scale(scale, rows[done])
+        for k, other in enumerate(rows):
+            b = other[col]
+            if k == done or not b:
+                continue
+            coeff = ring.entry_quotient(b, val)
+            if coeff:
+                rows[k] = ring.row_axpy(other, coeff, row)
+                if k > done:
+                    leads[k] = lead(rows[k])
+        pivots.append((col, val))
+        done += 1
+    kt = [0] * s
+    for _, v in pivots:
+        kt[v] += 1
+    return list(rows[:done]), tuple(pivots), tuple(kt)
 
 
 def digit_reduce(ring, generators):
@@ -238,8 +294,56 @@ def test_row_kernel_on_long_rows(data):
     ]
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        generator_matrices(),
+        generator_matrices(st.sampled_from(BIG_RINGS), size=8),
+    )
+)
+def test_rank_one_kernel_matches_row_by_row_elimination(case):
+    # Byte lanes, ``+`` rows and element lists against one row operation
+    # per row, and the dual's rank-1 column operations against explicit
+    # column operations on Q.
+    ring, n, rows = case
+    code = LinearCode(ring, n, rows)
+    sf, pivots, kt = row_by_row_reduce(ring, rows)
+    assert (list(code._sf), code.pivots, code.type) == (sf, pivots, kt)
+    dual = code.dual()
+    assert dual.key() == LinearCode(ring, n, coordinate_dual_rows(code)).key()
+    assert code.cardinality * dual.cardinality == ring.size**n
+
+
+@st.composite
+def mixed_generators(draw):
+    """A matrix and a second generating set of its code: the rows scaled
+    by units, added to one another and shuffled."""
+    ring, n, rows = draw(generator_matrices(size=12))
+    mixed = [list(r) for r in rows]
+    units = [a for a in ring.elements() if ring.is_unit(a)]
+    for _ in range(draw(st.integers(0, 3 * len(rows)))):
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, len(rows) - 1))
+        c = draw(elements(ring))
+        if i != j:
+            mixed[i] = [a + c * b for a, b in zip(mixed[i], mixed[j])]
+        unit = draw(st.sampled_from(units))
+        mixed[i] = [unit * a for a in mixed[i]]
+    return ring, n, rows, draw(st.permutations(mixed))
+
+
 @settings(max_examples=100, deadline=None)
-@given(generator_matrices())
+@given(mixed_generators())
+def test_standard_form_is_canonical(case):
+    # Elimination swaps no rows; the standard form depends on the code
+    # alone, not on its generators or their order.
+    ring, n, rows, mixed = case
+    code, again = LinearCode(ring, n, rows), LinearCode(ring, n, mixed)
+    assert again.key() == code.key() and again.pivots == code.pivots
+
+
+@settings(max_examples=100, deadline=None)
+@given(generator_matrices(small_rings(), size=6))
 def test_standard_form_matches_digit_elimination(case):
     ring, n, rows = case
     code = LinearCode(ring, n, rows)
