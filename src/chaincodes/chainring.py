@@ -38,20 +38,24 @@ entry operations (``entry_valuation``, ``entry_quotient``,
 encodes as a false value either way.  On byte rows they run in C, through
 ``bytes.translate`` with 256-entry tables filled from the index tables on
 first use.  Addition is digit-wise on indices (base B = ``p^s`` for
-``GR``, ``p`` for ``EU``).  When an index's digits re-spelt in base 2B fit
-a byte, ``row_add`` adds two rows as integers (``int.from_bytes``), where
-no sum carries, and folds the sums back with one ``translate``; otherwise
-it adds entry by entry through the ``+`` table.  ``eliminate`` reduces a
-matrix to its standard form by one rank-1 update of the whole matrix per
-pivot, and ``apply_row_ops`` applies a sequence of rank-1 row operations;
-both hold the matrix in byte lanes (``_lanes``) when the digits fit, so
-that an update is one integer sum and the fold back to indices waits for
-several updates.  ``row_dots`` walks the ``*`` and ``+`` tables
-entry by entry; its one library caller dots rows of length m.  When
-B <= 128, ``_lane_tables`` lets a caller hold many digit sums in the byte
-lanes of one integer, folding them modulo B before any lane passes 255:
-``decompose_cyclic`` adds a code row's pairings with every trace row of
-its context in one C-level sum per chunk of columns.
+``GR``, ``p`` for ``EU``), so index rows re-spelt in byte lanes add as
+integers (``int.from_bytes``) with no digit sum carrying, until a fold
+takes the digits back modulo B.  ``_lane_layout`` builds each layout as
+a ``Lanes`` record, and the kernel keeps three, each the fastest of them
+at its task:
+
+* ``_pivot_lanes`` (a whole index in one lane below 128) for
+  ``eliminate``, one rank-1 update of the whole matrix per pivot, and
+  ``apply_row_ops``: an update is one integer sum, the fold waits for
+  several updates, and bit 7 of a lane marks a pivot row;
+* ``_add_lanes`` (full bytes, at most two planes when B <= 128) for
+  ``row_add``; only rings with B > 128 add through the ``+`` table;
+* ``_digit_lanes`` (one digit per byte) for ``decompose_cyclic``, which
+  adds a code row's pairings with every trace row of its context in one
+  C-level sum per chunk of columns.
+
+``row_dots`` walks the ``*`` and ``+`` tables entry by entry; its one
+library caller dots rows of length m.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ from functools import cache, cached_property
 from operator import getitem
 
 from . import _polys
-from ._ints import PRIME_TEST_BOUND, is_prime, order_dividing
+from ._ints import PRIME_TEST_BOUND, integer_root, is_prime, order_dividing
 from ._record import record
 from .errors import BudgetExceeded, SpecError
 
@@ -185,6 +189,18 @@ class _LazyTable(dict):
 def _translation(entries) -> bytes:
     """A bytes.translate table: the given entries, padded to 256 with 0."""
     return bytes(entries) + bytes(256 - len(entries))
+
+
+@record
+class Lanes:
+    """Index digits in byte lanes; see ``ChainRing._lane_layout``."""
+
+    base: int
+    headroom: int
+    code: tuple
+    fold: bytes
+    unlane: tuple
+    vals: tuple
 
 
 # Sets bit 7 of a lane: ``ChainRing.eliminate`` marks the pivot rows.
@@ -338,112 +354,65 @@ class ChainRing:
             return self._pm, self.r
         return self.p, self.r * self.s
 
-    @cached_property
-    def _lane_tables(self):
-        """Tables for sums of index digits held one per byte lane, or None
-        without tables or when B > 128, where a lane cannot hold a residue
-        below B plus one more digit.
+    def _lane_layout(self, ceiling: int, per_lane: int):
+        """Index digits held ``per_lane`` to a byte lane, in base W, the
+        largest W with W^per_lane <= ceiling: a ``Lanes`` record, or None
+        without tables or when no lane takes even one add.
 
-        ``width`` digits (each below B) add to a lane holding a residue
-        below B without passing 255.  ``split[k]`` takes an index to its
-        digit k, and ``fold`` takes a lane sum y to y mod B.  ``marks``
-        takes a lane sum y to the bit 1 << v, v the valuation of the
-        element of index y mod B, and to 0 when y mod B is 0; ``reads[k]``
-        takes an OR of marks of digit-k lanes to its lowest bit plus the
-        valuation of B^k, and 0 to s.  An element's valuation is the least
-        over its digits k of the valuation of digit_k * B^k, which is that
-        of digit_k plus that of B^k (the least p-adic valuation of its GR
-        coordinates, the least u-power with a nonzero EU coordinate)."""
+        An index takes one lane per plane, the low digits in plane 0.
+        Digits below B take ``headroom`` = (W - B) // (B - 1) more adds of
+        digits below B before any reaches W and carries.  ``code[k]`` takes
+        an index to its plane-k lane (None for the identity), ``fold`` a
+        lane to the lane of its digits mod B, ``unlane[k]`` a plane-k lane
+        to its share of the index (the shares add without carry), and
+        ``vals[k]`` a plane-k lane to the valuation of its share.  Bits at
+        or above the ceiling are kept by ``fold``, dropped by ``unlane`` and
+        read by ``vals`` as 0x80, past every valuation."""
         if not self.has_tables:
             return None
         base, count = self._digits
-        width = (256 - base) // (base - 1)
-        if width < 1:
-            return None
-        split = tuple(
-            _translation([i // base**k % base for i in range(self.size)])
-            for k in range(count)
-        )
-        fold = _translation([y % base for y in range(256)])
-        bits = [1 << v for v in range(self.s)] + [0]  # valuation s: no bit
-        marks = fold.translate(
-            _translation([bits[self._val_tab[i]] for i in range(base)])
-        )
-        reads = tuple(
-            _translation(
-                [
-                    (y & -y).bit_length() - 1 + self._val_tab[base**k]
-                    if y
-                    else self.s
-                    for y in range(256)
-                ]
-            )
-            for k in range(count)
-        )
-        return width, split, fold, marks, reads
-
-    @cached_property
-    def _sum_tables(self):
-        """Tables that add index rows a byte at a time, or None when the
-        digit sums (each up to 2B - 2) do not fit one byte, (2B)^d > 256.
-
-        ``code`` re-spells an index's digits in base 2B (None when it is the
-        identity), so the sum of two codes carries into no other digit or
-        byte, and ``fold`` takes such a sum to the index of the sum."""
-        base, count = self._digits
-        wide = 2 * base
-        if wide**count > 256:
-            return None
-        code = _translation(
-            [
-                sum(i // base**k % base * wide**k for k in range(count))
-                for i in range(self.size)
-            ]
-        )
-        fold = _translation(
-            [
-                sum(y // wide**k % wide % base * base**k for k in range(count))
-                for y in range(256)
-            ]
-        )
-        return None if count == 1 else code, fold
-
-    @cached_property
-    def _lanes(self):
-        """Tables that hold index rows in byte lanes taking several sums
-        before a fold, or None without tables or when no lane layout fits.
-
-        A lane re-spells an index's d base-B digits in base W, the largest
-        W with W^d <= 128, so lanes stay below 128 and bit 7 is free to
-        mark a row.  Digits below B take ``headroom`` = (W - B) // (B - 1)
-        more adds of digits below B before any reaches W and carries, so a
-        matrix is folded back to digits below B once every ``headroom``
-        adds.  ``code`` takes an index to its lane, ``fold`` a lane (bit 7
-        ignored) to the index of its digits mod B, ``refold`` a lane to the
-        lane of that index, bit 7 kept, and ``search`` a lane to the
-        valuation of that index, or to 0x80 when bit 7 is set."""
-        if not self.has_tables:
-            return None
-        base, count = self._digits
-        wide = 2
-        while (wide + 1) ** count <= 128:
-            wide += 1
+        wide = integer_root(ceiling, per_lane)
         headroom = (wide - base) // (base - 1)
-        if wide**count > 128 or headroom < 1:
+        if headroom < 1:
             return None
-        code = _translation(
-            [
-                sum(i // base**k % base * wide**k for k in range(count))
-                for i in range(self.size)
-            ]
+
+        def respelt(old, new):  # x < old^per_lane -> its digits mod B, base new
+            table = [0]
+            for x in range(1, old**per_lane):
+                table.append(x % old % base + new * table[x // old])
+            return table
+
+        lane_of, index_of = respelt(base, wide), respelt(wide, base)
+        planes, size = range(0, count, per_lane), self.size
+        low = [y % ceiling % len(index_of) for y in range(256)]  # lane y's digits
+        code = (None,) if count == 1 else tuple(
+            _translation([lane_of[i // base**k % len(lane_of)] for i in range(size)])
+            for k in planes
         )
-        fold = bytes(
-            sum((y & 0x7F) // wide**k % wide % base * base**k for k in range(count))
-            for y in range(256)
-        )
-        refold = bytes(code[fold[y]] | (y & 0x80) for y in range(256))
-        search = fold[:128].translate(self._val_bytes) + b"\x80" * 128
-        return code, fold, search, refold, headroom
+        fold = bytes(y - y % ceiling + lane_of[index_of[z]] for y, z in enumerate(low))
+        unlane = tuple(bytes(index_of[z] * base**k % size for z in low) for k in planes)
+        marked = b"\x80" * (256 - ceiling)
+        vals = tuple(u[:ceiling].translate(self._val_bytes) + marked for u in unlane)
+        return Lanes(wide, headroom, code, fold, unlane, vals)
+
+    @cached_property
+    def _pivot_lanes(self):
+        """Lanes for ``eliminate`` and ``apply_row_ops``: a whole index in
+        one lane below 128, so that bit 7 is free to mark a pivot row."""
+        return self._lane_layout(128, self._digits[1])
+
+    @cached_property
+    def _add_lanes(self):
+        """Lanes for ``row_add``: full bytes in the fewest planes, which in
+        a table ring with B <= 128 is at most two."""
+        count = self._digits[1]
+        return self._lane_layout(256, count) or self._lane_layout(256, -(-count // 2))
+
+    @cached_property
+    def _digit_lanes(self):
+        """Lanes of one digit each, for many sums before a fold:
+        ``decompose_cyclic`` holds a pairing per lane."""
+        return self._lane_layout(256, 1)
 
     def short_name(self) -> str:
         return f"{self.family}(p={self.p},r={self.r},s={self.s})"
@@ -605,14 +574,20 @@ class ChainRing:
         """The row u + w, entrywise."""
         if not self.has_tables:
             return [a + b for a, b in zip(u, w)]
-        tables = self._sum_tables
-        if tables is None:
+        lanes = self._add_lanes
+        if lanes is None:
             return bytes(map(getitem, map(self._add_rows.__getitem__, u), w))
-        code, fold = tables
+        code, unlane = lanes.code, lanes.unlane
+        if len(code) == 2:  # the shares of the two planes add without carry
+            (c0, c1), (f0, f1) = code, unlane
+            low = _lane_sum(u.translate(c0), w.translate(c0)).translate(f0)
+            high = _lane_sum(u.translate(c1), w.translate(c1)).translate(f1)
+            return _lane_sum(low, high)
+        (code,), (unlane,) = code, unlane
         if code is not None:
             u, w = u.translate(code), w.translate(code)
         total = int.from_bytes(u, "little") + int.from_bytes(w, "little")
-        return total.to_bytes(len(u), "little").translate(fold)
+        return total.to_bytes(len(u), "little").translate(unlane)
 
     def neg_outer(self, x, y):
         """The row of the entries -x_i * y_j, i-major: the matrix -x y^T
@@ -629,7 +604,7 @@ class ChainRing:
         """The row u - c*v, entrywise."""
         if not self.has_tables:
             return [a - c * b for a, b in zip(u, v)]
-        return self.row_add(u, v.translate(self._mul_bytes[self._neg_tab[c]]))
+        return self.row_add(u, v.translate(self._neg_mul_bytes[c]))
 
     def row_scale(self, c, v):
         """The row c*v, entrywise."""
@@ -669,11 +644,12 @@ class ChainRing:
         the rows.
 
         With tables the update touches only the columns between the first
-        and the last nonzero entry of the pivot row.  With ``_lanes`` the
-        matrix holds lanes, not indices: a column range is updated by one
-        integer sum, the lanes are folded back to indices only every
-        ``headroom`` updates, and bit 7 of a lane marks the pivot rows,
-        which the search table maps past every valuation."""
+        and the last nonzero entry of the pivot row.  With ``_pivot_lanes``
+        the matrix holds lanes, not indices: a column range is updated by
+        one integer sum, the lanes are folded only every ``headroom``
+        updates, and bit 7 of a lane marks the pivot rows, which ``vals``
+        reads past every valuation.  Without them each update is a
+        ``row_add`` and the pivot rows are marked in a mask of their own."""
         rows = [r for r in rows if any(r)]
         if not rows:
             return [], []
@@ -685,14 +661,15 @@ class ChainRing:
         mul, quo_bytes = self._mul_bytes, self._quo_bytes
         minus_one = self._neg_tab[self.one.index]
         marks = b"\x80" * width
-        lanes = self._lanes
+        lanes = self._pivot_lanes
         if lanes is None:
             search = self._val_bytes
             marked = bytearray(len(x))  # 0x80 at each entry of a pivot row
         else:
-            code, fold, search, refold, headroom = lanes
-            x = x.translate(code)
-            fresh = headroom
+            (code,), (unlane,), (search,) = lanes.code, lanes.unlane, lanes.vals
+            if code is not None:  # else an index is its own lane
+                x = x.translate(code)
+            fresh = lanes.headroom
         vals = x.translate(search)
         levels = range(self.s)
         chosen, pivots = [], []
@@ -706,7 +683,7 @@ class ChainRing:
             col, j = divmod(at, h)
             row, column = x[j::h], x[col * h : (col + 1) * h]
             if lanes is not None:
-                row, column = row.translate(fold), column.translate(fold)
+                row, column = row.translate(unlane), column.translate(unlane)
             unit = quo[t][row[col]]
             row = row.translate(mul[inv[unit]])
             coeffs = column.translate(quo_bytes[t])
@@ -728,15 +705,17 @@ class ChainRing:
                     vals[a:z] = _or_bytes(x[a:z].translate(search), marked[a:z])
                 else:
                     if not fresh:
-                        x = x.translate(refold)
-                        fresh = headroom
-                    x[a:z] = _lane_sum(x[a:z], delta.translate(code))
+                        x = x.translate(lanes.fold)
+                        fresh = lanes.headroom
+                    if code is not None:
+                        delta = delta.translate(code)
+                    x[a:z] = _lane_sum(x[a:z], delta)
                     fresh -= 1
                     vals[a:z] = x[a:z].translate(search)
             chosen.append(j)
             pivots.append((col, t))
         if lanes is not None:
-            x = x.translate(fold)
+            x = x.translate(unlane)
         return [bytes(x[j::h]) for j in chosen], pivots
 
     def _eliminate_elements(self, rows, width: int):
@@ -771,30 +750,32 @@ class ChainRing:
         row i loses coeffs_i times row r as it stands then.  Each is one
         rank-1 update of the rows between the first and the last nonzero
         coefficient, in lanes when the ring has them."""
-        lanes = self._lanes
+        lanes = self._pivot_lanes
         if lanes is None:
             for coeffs, r in ops:
                 if any(coeffs):
                     pivot = m[r * width : (r + 1) * width]
                     m = self.row_add(m, self.neg_outer(coeffs, pivot))
             return m
-        code, fold, _, refold, headroom = lanes
-        x = bytearray(m).translate(code)
-        fresh = headroom
+        (code,), (unlane,) = lanes.code, lanes.unlane
+        x = bytearray(m if code is None else m.translate(code))
+        fresh = lanes.headroom
         for coeffs, r in ops:
             lo = len(coeffs) - len(coeffs.lstrip(b"\0"))
             part = coeffs[lo : len(coeffs.rstrip(b"\0"))]
             if not part:
                 continue
-            pivot = x[r * width : (r + 1) * width].translate(fold)
+            pivot = x[r * width : (r + 1) * width].translate(unlane)
             if not fresh:
-                x = x.translate(refold)
-                fresh = headroom
-            delta = self.neg_outer(part, pivot).translate(code)
+                x = x.translate(lanes.fold)
+                fresh = lanes.headroom
+            delta = self.neg_outer(part, pivot)
+            if code is not None:
+                delta = delta.translate(code)
             a, z = lo * width, lo * width + len(delta)
             x[a:z] = _lane_sum(x[a:z], delta)
             fresh -= 1
-        return bytes(x.translate(fold))
+        return bytes(x.translate(unlane))
 
     def row_dots(self, u, vs) -> list:
         """The sums of the entrywise products of u with each row of vs."""

@@ -215,11 +215,12 @@ def cmd_contract(args) -> int:
     code = load_code(_load_json_file(args.code))
     result = contract_code(code, args.u)
     k = result.code
-    self_dual = k.same_code(k.dual())
+    dual = k.dual()
+    self_dual = k.same_code(dual)
     constacyclic_ok = True
     if not k.is_zero():
         constacyclic_ok = is_constacyclic(k, result.gamma)
-    star_dual_ok = contract_dual(result, args.u).same_code(k.dual())
+    star_dual_ok = contract_dual(result, args.u).same_code(dual)
     doc = {
         "code": k.to_json(),
         "gamma": list(result.gamma.coords),

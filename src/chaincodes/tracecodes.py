@@ -19,7 +19,7 @@ from itertools import product
 from math import gcd
 from operator import getitem
 
-from .chainring import ChainRing, RingElement, _LazyTable
+from .chainring import ChainRing, RingElement, _LazyTable, _translation
 from .cosets import (
     CosetSet,
     CosetUniverse,
@@ -80,7 +80,7 @@ class EvalContext:
 
     @cached_property
     def column_images(self) -> list[_LazyTable]:
-        """Per column j of the opposite stack (a ring with lane tables),
+        """Per column j of the opposite stack (a ring with digit lanes),
         the table a -> ``_column_image`` of a times that column, filled on
         first use."""
         rows, _ = self.opposite_stack
@@ -94,7 +94,7 @@ class EvalContext:
         one byte each, packed little-endian into one int."""
         ring = self.ring
         products = column.translate(ring._mul_bytes[a])
-        split = ring._lane_tables[1]
+        split = ring._digit_lanes.code
         digits = b"".join([products.translate(table) for table in split])
         return int.from_bytes(digits, "little")
 
@@ -207,7 +207,7 @@ def decompose_cyclic(code: LinearCode) -> CyclotomicPartition:
         )
     ctx = context(ring, code.length)
     s = ring.s
-    if ring._lane_tables is None:
+    if ring._digit_lanes is None:
         levels = _dot_levels(ctx, code._sf)
     else:
         levels = _packed_levels(ctx, code._sf)
@@ -226,7 +226,7 @@ def decompose_cyclic(code: LinearCode) -> CyclotomicPartition:
 
 def _packed_levels(ctx: EvalContext, rows) -> list[int]:
     """Each coset's level, the least valuation of <g, h> over the byte rows
-    g and its slice of the opposite stack, for a ring with lane tables.
+    g and its slice of the opposite stack, for a ring with digit lanes.
 
     The column images of g's entries hold the index digits of g_j*h_j for
     every h in the stack, one byte lane per (digit, h), so one integer sum
@@ -235,7 +235,8 @@ def _packed_levels(ctx: EvalContext, rows) -> list[int]:
     of all rows are OR-ed, and the least valuation of the pairings with h
     is read off h's digit lanes."""
     ring = ctx.ring
-    width, _, fold, marks, reads = ring._lane_tables
+    width, fold = ring._digit_lanes.headroom, ring._digit_lanes.fold
+    marks, reads = _level_reads(ring)
     images = ctx.column_images
     stack, slices = ctx.opposite_stack
     height = len(stack)
@@ -255,6 +256,22 @@ def _packed_levels(ctx: EvalContext, rows) -> list[int]:
     return [min([min(d[sl]) for d in digits]) for sl in slices]
 
 
+@cache
+def _level_reads(ring: ChainRing) -> tuple[bytes, tuple[bytes, ...]]:
+    """For the digit lanes, ``marks`` takes a lane sum y to the bit 1 << v,
+    v the valuation of y mod B (no bit for 0), and ``reads[k]`` an OR of
+    marks of digit-k lanes to its lowest bit plus the valuation of B^k (s
+    for 0): the valuation of digit * B^k is that of the digit plus that of
+    B^k, and an element's is the least over its digits."""
+    s, vals = ring.s, ring._digit_lanes.vals
+    marks = vals[0].translate(_translation([1 << v for v in range(s)]))
+    reads = tuple(
+        bytes((y & -y).bit_length() - 1 + v[1] if y else s for y in range(256))
+        for v in vals
+    )
+    return marks, reads
+
+
 def _lane_sums(images, g, width: int, fold: bytes, size: int) -> bytes:
     """The sum of the column images images[j][g_j] as ``size`` byte lanes,
     each congruent modulo B to the sum of its digits.  The lanes are folded
@@ -272,7 +289,7 @@ def _lane_sums(images, g, width: int, fold: bytes, size: int) -> bytes:
 
 def _dot_levels(ctx: EvalContext, rows) -> list[int]:
     """Each coset's level by ``row_dots`` of the rows g against its slice
-    of the opposite stack, for a ring without lane tables."""
+    of the opposite stack, for a ring without digit lanes."""
     ring = ctx.ring
     stack, slices = ctx.opposite_stack
     levels = []

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chaincodes import LinearCode
 from chaincodes.cli import main
 
 Z9_SPEC = '{"family":"GR","p":3,"r":1,"s":2}'
@@ -153,6 +154,36 @@ def test_build_partition_and_contract(tmp_path, capsys):
     assert code == 0
     back = json.loads(out)
     assert back["length"] == 20
+
+
+def test_contract_builds_the_dual_once(tmp_path, capsys, monkeypatch):
+    # self_dual and star_dual_matches both compare against dual(K).
+    pfile = tmp_path / "p.json"
+    pfile.write_text(
+        json.dumps({"0": 2, "1": 0, "2": 2, "4": 2, "5": 1, "10": 2, "11": 2})
+    )
+    code, out, _ = run(
+        capsys, "build", "partition",
+        "--ring", F3U_SPEC, "--ell", "20", "--file", str(pfile), "--json",
+    )
+    assert code == 0
+    cfile = tmp_path / "c.json"
+    cfile.write_text(out)
+    calls = []
+    dual = LinearCode.dual
+
+    def counted(self):
+        calls.append(self.length)
+        return dual(self)
+
+    monkeypatch.setattr(LinearCode, "dual", counted)
+    code, out, _ = run(
+        capsys, "contract", "--code", str(cfile), "--u", "2", "--json"
+    )
+    assert code == 0
+    assert calls == [10]
+    report = json.loads(out)["report"]
+    assert report["star_dual_matches"] and report["self_dual"]
 
 
 def test_dual(tmp_path, capsys):

@@ -23,9 +23,9 @@ BIG_RINGS = [galois_ring(2, 1, 9), galois_ring(3, 2, 3), eu_ring(3, 2, 3)]
 # row kernel adds them one entry at a time.
 WIDE_DIGIT_RINGS = [galois_ring(2, 1, 8), galois_ring(131, 1, 1)]
 
-# Table rings without byte lanes, whose elimination adds through the ``+``
-# rows: two digits base 9, and four base 3.
-PLUS_ROW_RINGS = [galois_ring(3, 2, 2), eu_ring(3, 2, 2)]
+# Table rings whose digits fit no pivot lane, whose elimination adds rows
+# of two-plane add lanes: two digits base 9, four base 3, and eight base 2.
+TWO_PLANE_RINGS = [galois_ring(3, 2, 2), eu_ring(3, 2, 2), eu_ring(2, 1, 8)]
 
 
 @st.composite
@@ -36,9 +36,10 @@ def small_rings(draw):
 
 @st.composite
 def table_rings(draw):
-    """Every table ring kind: lanes of one or several digits, and none."""
+    """Every table ring kind: pivot lanes of one or several digits, add
+    lanes of two planes, and the ``+`` rows."""
     return draw(
-        st.one_of(small_rings(), st.sampled_from(WIDE_DIGIT_RINGS + PLUS_ROW_RINGS))
+        st.one_of(small_rings(), st.sampled_from(WIDE_DIGIT_RINGS + TWO_PLANE_RINGS))
     )
 
 
@@ -267,7 +268,10 @@ def test_row_kernel_on_long_rows(data):
     # Rows of up to 64 entries, whose packed integers span many machine
     # words, against the coordinate arithmetic.
     ring = data.draw(
-        st.one_of(small_rings(), st.sampled_from(WIDE_DIGIT_RINGS + BIG_RINGS))
+        st.one_of(
+            small_rings(),
+            st.sampled_from(WIDE_DIGIT_RINGS + TWO_PLANE_RINGS + BIG_RINGS),
+        )
     )
     n = data.draw(st.integers(1, 64))
     row = st.lists(elements(ring), min_size=n, max_size=n)

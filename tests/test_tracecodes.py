@@ -297,11 +297,11 @@ def test_packed_cases_cover_the_golden_rings_and_several_chunks():
     rings = {ring for ring, _ in PACKED_CASES}
     assert set(TABLE_RINGS) <= rings
     assert rings & set(BIG_RINGS)
-    assert galois_ring(131, 1, 1)._lane_tables is None
+    assert galois_ring(131, 1, 1)._digit_lanes is None
     chunked = {
         ring.short_name()
         for ring, ell in PACKED_CASES
-        if ring._lane_tables and ell > ring._lane_tables[0]
+        if ring._digit_lanes and ell > ring._digit_lanes.headroom
     }
     assert chunked == {
         "GR(p=3,r=1,s=2)", "GR(p=2,r=1,s=3)", "GR(p=3,r=1,s=3)", "GR(p=3,r=2,s=2)"
@@ -377,7 +377,7 @@ def element_pairings(ring, g, stack):
 
 def check_lane_sums(ring, ell, g):
     ctx = context(ring, ell)
-    width, _, fold, _, _ = ring._lane_tables
+    width, fold = ring._digit_lanes.headroom, ring._digit_lanes.fold
     base, count = ring._digits
     stack, _ = ctx.opposite_stack
     height = len(stack)
@@ -388,7 +388,7 @@ def check_lane_sums(ring, ell, g):
         assert lanes == [dot.index // base**k % base for k in range(count)]
 
 
-LANE_CASES = [(ring, ell) for ring, ell in PACKED_CASES if ring._lane_tables]
+LANE_CASES = [(ring, ell) for ring, ell in PACKED_CASES if ring._digit_lanes]
 
 
 @settings(max_examples=80, deadline=None)
@@ -408,7 +408,7 @@ def test_lane_sums_at_the_carry_bound(ring, ell):
     # every digit B - 1, fill the next chunk's lanes to the bound.
     stack, _ = context(ring, ell).opposite_stack
     assert stack[0] == ring.encode_row([ring.one] * ell)
-    width = ring._lane_tables[0]
+    width = ring._digit_lanes.headroom
     base, count = ring._digits
     digit = (2 - width) * (base - 1) % base
     first = sum(digit * base**k for k in range(count))
