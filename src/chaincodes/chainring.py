@@ -22,27 +22,28 @@ position in ``ring.elements()`` (the ``element_at`` order, the coordinates
 read as base-``p^s`` or base-``q`` digits), so the zero element has index 0.
 
 Rings with at most ``TABLE_CAP`` elements do their arithmetic by table
-lookup on element indices: ``+``, ``-``, ``*``, unit inverses, the
-theta-valuation and ``theta_quotient``.  The tables hold indices, not
-elements, start empty and are filled on first use, a row of ``+`` or ``*``
-(one left operand against every element) or a single entry of the others at
-a time, through the coordinate arithmetic that larger rings use directly;
-element arithmetic maps an index back through ``elements()``.
+lookup on element indices.  Each table is held once, as the ``bytes``
+translation of element indices that the row kernel translates with, and
+is filled on first use through the coordinate arithmetic that larger
+rings use directly: ``+`` and ``*`` a row at a time (one left operand
+against every element), and the negation, the theta-valuation and each
+level's ``theta_quotient`` whole.  A unit's inverse is read off its ``*``
+row.  Element arithmetic maps an index back through ``elements()``.
 
 Elimination runs on encoded rows: ``encode_row`` gives a ``bytes`` string
 of element indices in a ring with tables and a list of elements above the
 cap, and the row operations (``row_add``, ``row_axpy``, ``row_scale``,
-``row_divide``, ``neg_outer``, ``row_dots``, ``row_valuations``) and the
-entry operations (``entry_valuation``, ``entry_quotient``,
-``entry_divide``, ``entry_inv``) take and return that encoding.  Zero
-encodes as a false value either way.  On byte rows they run in C, through
-``bytes.translate`` with 256-entry tables filled from the index tables on
-first use.  Addition is digit-wise on indices (base B = ``p^s`` for
+``row_divide``, ``neg_outer``, ``row_valuations``) and the entry
+operations (``entry_valuation``, ``entry_quotient``, ``entry_divide``,
+``entry_inv``) take and return that encoding.  Zero encodes as a false
+value either way.  On byte rows they run in C, through ``bytes.translate``
+with those tables.  Addition is digit-wise on indices (base B = ``p^s`` for
 ``GR``, ``p`` for ``EU``), so index rows re-spelt in byte lanes add as
 integers (``int.from_bytes``) with no digit sum carrying, until a fold
 takes the digits back modulo B.  ``_lane_layout`` builds each layout as
-a ``Lanes`` record, and the kernel keeps three, each the fastest of them
-at its task:
+a ``Lanes`` record, once, so that layouts that coincide (the add and digit
+lanes of a one-digit ring) are one record.  The kernel keeps three, each
+the fastest of them at its task:
 
 * ``_pivot_lanes`` (a whole index in one lane below 128) for
   ``eliminate``, one rank-1 update of the whole matrix per pivot, and
@@ -53,9 +54,6 @@ at its task:
 * ``_digit_lanes`` (one digit per byte) for ``decompose_cyclic``, which
   adds a code row's pairings with every trace row of its context in one
   C-level sum per chunk of columns.
-
-``row_dots`` walks the ``*`` and ``+`` tables entry by entry; its one
-library caller dots rows of length m.
 """
 
 from __future__ import annotations
@@ -304,46 +302,44 @@ class ChainRing:
         self.theta = self.make(theta)
         self.has_tables = self.size <= TABLE_CAP
         if self.has_tables:
-            self._build_tables()
+            elems = self.elements()
+
+            def rows(op):  # the row of i: op(elems[i], b) for every b
+                return _LazyTable(
+                    lambda i: _translation([op(elems[i], b).index for b in elems])
+                )
+
+            self._add_bytes = rows(self._add_coords)
+            self._mul_bytes = rows(self._mul_coords)
         else:
-            self._add_rows = self._mul_rows = self._neg_tab = None
-            self._inv_tab = self._val_tab = self._quo_tabs = None
+            self._add_bytes = self._mul_bytes = None
 
-    def _build_tables(self):
-        """Empty lookup tables of element indices, keyed by element index
-        and filled on first use through the coordinate arithmetic."""
-        elems = self.elements()
-
-        def row(op):
-            return _LazyTable(lambda i: [op(elems[i], b).index for b in elems])
-
-        def entry(op, *args):
-            return _LazyTable(lambda i: op(elems[i], *args).index)
-
-        self._add_rows = row(self._add_coords)
-        self._mul_rows = row(self._mul_coords)
-        self._neg_tab = entry(self._neg_coords)
-        self._inv_tab = entry(self._inv_coords)
-        self._val_tab = _LazyTable(lambda i: self._valuation_coords(elems[i]))
-        self._quo_tabs = [
-            entry(self._quotient_digits, v) for v in range(self.s + 1)
-        ]
-        self._mul_bytes = _LazyTable(lambda c: _translation(self._mul_rows[c]))
-        self._neg_mul_bytes = _LazyTable(lambda c: self._mul_bytes[self._neg_tab[c]])
-
-    # Translation tables of the byte-row kernel, built on first use.
+    def _table(self, entry) -> bytes | None:
+        """The translation i -> entry(elems[i]), filled whole; None
+        without tables."""
+        if not self.has_tables:
+            return None
+        return _translation(list(map(entry, self._elements)))
 
     @cached_property
-    def _val_bytes(self) -> bytes:
-        return _translation([self._val_tab[i] for i in range(self.size)])
+    def _neg_bytes(self) -> bytes | None:
+        return self._table(lambda a: self._neg_coords(a).index)
 
     @cached_property
-    def _quo_bytes(self) -> _LazyTable:
-        """Per t, the translation of ``_quo_tabs[t]``; for t = 0 the
-        identity, which fills no entry."""
-        quo, indices = self._quo_tabs, range(self.size)
+    def _val_bytes(self) -> bytes | None:
+        """i -> the theta-valuation of element i (s for zero)."""
+        return self._table(self._valuation_coords)
+
+    @cached_property
+    def _quo_bytes(self) -> _LazyTable | None:
+        """Per t, the translation i -> ``theta_quotient(elems[i], t)``;
+        for t = 0 the identity, which needs no digits."""
+        if not self.has_tables:
+            return None
         return _LazyTable(
-            lambda t: _translation([quo[t][i] for i in indices] if t else indices)
+            lambda t: self._table(lambda a: self._quotient_digits(a, t).index)
+            if t
+            else _translation(range(self.size))
         )
 
     @cached_property
@@ -354,6 +350,7 @@ class ChainRing:
             return self._pm, self.r
         return self.p, self.r * self.s
 
+    @cache  # layouts that coincide are one record
     def _lane_layout(self, ceiling: int, per_lane: int):
         """Index digits held ``per_lane`` to a byte lane, in base W, the
         largest W with W^per_lane <= ceiling: a ``Lanes`` record, or None
@@ -466,18 +463,18 @@ class ChainRing:
     # -- arithmetic -------------------------------------------------------
 
     def _add(self, a: RingElement, b: RingElement) -> RingElement:
-        if self._add_rows is not None:
-            return self._elements[self._add_rows[a.index][b.index]]
+        if self.has_tables:
+            return self._elements[self._add_bytes[a.index][b.index]]
         return self._add_coords(a, b)
 
     def _neg(self, a: RingElement) -> RingElement:
-        if self._neg_tab is not None:
-            return self._elements[self._neg_tab[a.index]]
+        if self.has_tables:
+            return self._elements[self._neg_bytes[a.index]]
         return self._neg_coords(a)
 
     def _mul(self, a: RingElement, b: RingElement) -> RingElement:
-        if self._mul_rows is not None:
-            return self._elements[self._mul_rows[a.index][b.index]]
+        if self.has_tables:
+            return self._elements[self._mul_bytes[a.index][b.index]]
         return self._mul_coords(a, b)
 
     def _add_coords(self, a: RingElement, b: RingElement) -> RingElement:
@@ -576,7 +573,7 @@ class ChainRing:
             return [a + b for a, b in zip(u, w)]
         lanes = self._add_lanes
         if lanes is None:
-            return bytes(map(getitem, map(self._add_rows.__getitem__, u), w))
+            return bytes(map(getitem, map(self._add_bytes.__getitem__, u), w))
         code, unlane = lanes.code, lanes.unlane
         if len(code) == 2:  # the shares of the two planes add without carry
             (c0, c1), (f0, f1) = code, unlane
@@ -592,19 +589,19 @@ class ChainRing:
     def neg_outer(self, x, y):
         """The row of the entries -x_i * y_j, i-major: the matrix -x y^T
         held row-major, or -y x^T held column-major.  With tables it is
-        one ``translate`` of y per distinct entry of x."""
+        one ``translate`` of -y per distinct entry of x."""
         if not self.has_tables:
             return [a * b for a in map(self._neg, x) for b in y]
-        keys = set(x)
-        tables = map(self._neg_mul_bytes.__getitem__, keys)
-        images = dict(zip(keys, map(y.translate, tables)))
+        keys, minus_y = set(x), y.translate(self._neg_bytes)
+        tables = map(self._mul_bytes.__getitem__, keys)
+        images = dict(zip(keys, map(minus_y.translate, tables)))
         return b"".join(map(images.__getitem__, x))
 
     def row_axpy(self, u, c, v):
         """The row u - c*v, entrywise."""
         if not self.has_tables:
             return [a - c * b for a, b in zip(u, v)]
-        return self.row_add(u, v.translate(self._neg_mul_bytes[c]))
+        return self.row_add(u, v.translate(self._mul_bytes[self._neg_bytes[c]]))
 
     def row_scale(self, c, v):
         """The row c*v, entrywise."""
@@ -657,9 +654,8 @@ class ChainRing:
             return self._eliminate_elements(rows, width)
         h = len(rows)
         x = bytearray(self.columns(rows))
-        add, inv, quo = self._add_rows, self._inv_tab, self._quo_tabs
-        mul, quo_bytes = self._mul_bytes, self._quo_bytes
-        minus_one = self._neg_tab[self.one.index]
+        add, mul, quo = self._add_bytes, self._mul_bytes, self._quo_bytes
+        minus_one = self._neg_bytes[self.one.index]
         marks = b"\x80" * width
         lanes = self._pivot_lanes
         if lanes is None:
@@ -685,8 +681,8 @@ class ChainRing:
             if lanes is not None:
                 row, column = row.translate(unlane), column.translate(unlane)
             unit = quo[t][row[col]]
-            row = row.translate(mul[inv[unit]])
-            coeffs = column.translate(quo_bytes[t])
+            row = row.translate(mul[self.entry_inv(unit)])
+            coeffs = column.translate(quo[t])
             coeffs[j] = add[unit][minus_one]
             # Row j is marked everywhere, for the windows of later updates;
             # its entries change only in this update's window.
@@ -777,52 +773,37 @@ class ChainRing:
             fresh -= 1
         return bytes(x.translate(unlane))
 
-    def row_dots(self, u, vs) -> list:
-        """The sums of the entrywise products of u with each row of vs."""
-        if not self.has_tables:
-            out = []
-            for v in vs:
-                acc = self.zero
-                for a, b in zip(u, v):
-                    acc = acc + a * b
-                out.append(acc)
-            return out
-        add = self._add_rows
-        rows = list(map(self._mul_rows.__getitem__, u))  # x -> u_j*x
-        out = []
-        for v in vs:
-            acc = 0
-            for ua, b in zip(rows, v):
-                acc = add[acc][ua[b]]
-            out.append(acc)
-        return out
-
     def entry_valuation(self, x) -> int:
-        if self._val_tab is None:
+        if not self.has_tables:
             return self.theta_valuation(x)
-        return self._val_tab[x]
+        return self._val_bytes[x]
 
     def entry_quotient(self, x, v: int):
         """theta_quotient on an encoded entry."""
-        if self._quo_tabs is None:
+        if not self.has_tables:
             return self.theta_quotient(x, v)
-        return self._quo_tabs[v][x]
+        return self._quo_bytes[v][x]
 
     def entry_divide(self, x, v: int):
         """Some c with theta^v * c = x; raises SpecError unless theta^v
         divides x.  With tables c is ``theta_quotient(x, v)``, above the
         cap ``theta_shift_down(x, v)``; the two differ by a multiple of
         theta^(s-v) and agree on everything theta^v multiplies."""
-        if self._quo_tabs is None:
+        if not self.has_tables:
             return self.theta_shift_down(x, v)
-        if self._val_tab[x] < v:
+        if self._val_bytes[x] < v:
             raise SpecError("element is not divisible by theta^t")
-        return self._quo_tabs[v][x]
+        return self._quo_bytes[v][x]
 
     def entry_inv(self, x):
-        if self._inv_tab is None:
+        """The inverse of a unit; with tables, read off the unit's ``*``
+        row as the index that it takes to one."""
+        if not self.has_tables:
             return self.inv(x)
-        return self._inv_tab[x]
+        inverse = self._mul_bytes[x].find(self.one.index)
+        if inverse < 0:
+            raise ZeroDivisionError("element is not a unit")
+        return inverse
 
     # -- residue field ----------------------------------------------------
 
@@ -858,8 +839,8 @@ class ChainRing:
 
     def theta_valuation(self, a: RingElement) -> int:
         """Largest t <= s with a in R theta^t (s for the zero element)."""
-        if self._val_tab is not None:
-            return self._val_tab[a.index]
+        if self.has_tables:
+            return self._val_bytes[a.index]
         return self._valuation_coords(a)
 
     def _valuation_coords(self, a: RingElement) -> int:
@@ -931,8 +912,8 @@ class ChainRing:
         by v places, with zeros on top: b = r + theta^v * quotient, where r
         has its digits below place v.  This is the elimination coefficient
         that reduces b modulo theta^v."""
-        if self._quo_tabs is not None:
-            return self._elements[self._quo_tabs[v][b.index]]
+        if self.has_tables:
+            return self._elements[self._quo_bytes[v][b.index]]
         return self._quotient_digits(b, v)
 
     def _quotient_digits(self, b: RingElement, v: int) -> RingElement:
@@ -945,8 +926,8 @@ class ChainRing:
         return self.residue(a) != 0
 
     def inv(self, a: RingElement) -> RingElement:
-        if self._inv_tab is not None:
-            return self._elements[self._inv_tab[a.index]]
+        if self.has_tables:
+            return self._elements[self.entry_inv(a.index)]
         return self._inv_coords(a)
 
     def _inv_coords(self, a: RingElement) -> RingElement:

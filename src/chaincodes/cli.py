@@ -290,6 +290,7 @@ def cmd_verify(args) -> int:
     ring = _ring_from_args(args)
     ell = args.ell
     budget = oracle.Budget(args.budget, args.budget)
+    budget.check_vectors(ring.size, ell)  # before any coset is listed
     universe = CosetUniverse(ell, ring.q)
     checks: list[tuple[str, bool]] = []
 

@@ -36,7 +36,10 @@ class CosetUniverse:
         object.__setattr__(self, "m", multiplicative_order(self.q, self.ell))
 
     def subset(self, members) -> "CosetSet":
-        return CosetSet(self, frozenset(int(z) % self.ell for z in members))
+        members = tuple(members)
+        if not all(map(_is_int, members)):
+            raise SpecError(f"coset members must be integers, got {list(members)!r}")
+        return CosetSet(self, frozenset([z % self.ell for z in members]))
 
     def full(self) -> "CosetSet":
         return self.subset(range(self.ell))

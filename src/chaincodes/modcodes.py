@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import product
+from operator import mul
 
 from .chainring import ChainRing, RingElement
 from .errors import BudgetExceeded, SpecError
@@ -41,9 +42,7 @@ DEFAULT_CODEWORD_BUDGET = 1 << 24
 
 
 def vdot(u, v):
-    ring = u[0].ring
-    (dot,) = ring.row_dots(ring.encode_row(u), [ring.encode_row(v)])
-    return ring.decode(dot)
+    return sum(map(mul, u, v), u[0].ring.zero)
 
 
 def weight(v) -> int:

@@ -36,10 +36,13 @@ class Budget:
     max_vectors: int = MAX_VECTORS
     max_codewords: int = MAX_CODEWORDS
 
-    def check_vectors(self, count: int):
-        if count > self.max_vectors:
+    def check_vectors(self, size: int, n: int):
+        """Refuse the size^n vectors of R^n over budget; the count is
+        written as a power, as it can have too many digits to print."""
+        # size >= 2, so size^n > max_vectors once 2^n is.
+        if n > self.max_vectors.bit_length() or size**n > self.max_vectors:
             raise BudgetExceeded(
-                f"{count} vectors exceed the budget of {self.max_vectors}"
+                f"{size}^{n} vectors exceed the budget of {self.max_vectors}"
             )
 
     def check_codewords(self, count: int):
@@ -69,7 +72,7 @@ def _coord_vadd(u, v):
 
 def all_vectors(ring: ChainRing, n: int, budget: Budget = Budget()):
     """Every vector of R^n, in the canonical element order."""
-    budget.check_vectors(ring.size**n)
+    budget.check_vectors(ring.size, n)
     yield from product(ring.elements(), repeat=n)
 
 
@@ -112,7 +115,7 @@ def brute_dual(code: LinearCode, budget: Budget = Budget()):
     a walk over R^n, one coordinate at a time, whose inner products with
     the generators, carried along the prefix, all end at zero."""
     ring, n, gens = code.ring, code.length, code.generators
-    budget.check_vectors(ring.size**n)
+    budget.check_vectors(ring.size, n)
     if len(gens) > n * ring.s:
         # R^n has composition length n*s, so at most n*s rows each enlarge
         # the span of the rows before them.  The others (a code listing all
@@ -177,7 +180,7 @@ def brute_cyclic_submodule_words(
 ):
     """Every shift-invariant submodule of R^n, as a sorted list of codeword
     sets: spans of single shift-orbits, closed under pairwise sums."""
-    budget.check_vectors(ring.size**n)
+    budget.check_vectors(ring.size, n)
     units = [c for c in ring.elements() if ring.is_unit(c)]
     zero = (ring.zero,) * n
     found: set[frozenset] = {frozenset({zero})}

@@ -288,21 +288,25 @@ def _lane_sums(images, g, width: int, fold: bytes, size: int) -> bytes:
 
 
 def _dot_levels(ctx: EvalContext, rows) -> list[int]:
-    """Each coset's level by ``row_dots`` of the rows g against its slice
-    of the opposite stack, for a ring without digit lanes."""
+    """Each coset's level, for a ring without digit lanes.  Per row g, one
+    ``row_axpy`` per nonzero g_j with column j of the opposite stack gives
+    minus g's pairings with every stack row, of the same valuations."""
     ring = ctx.ring
     stack, slices = ctx.opposite_stack
-    levels = []
-    for sl in slices:
-        hs = stack[sl]
-        level = ring.s
-        for g in rows:
-            for d in ring.row_dots(g, hs):
-                if d:
-                    level = min(level, ring.entry_valuation(d))
-            if not level:
-                break
-        levels.append(level)
+    height = len(stack)
+    columns = ring.columns(stack)
+    zero = ring.encode_row([ring.zero] * height)
+    levels = [ring.s] * len(slices)
+    for g in rows:
+        pairings = zero
+        for j, a in enumerate(g):
+            if a:
+                column = columns[j * height : (j + 1) * height]
+                pairings = ring.row_axpy(pairings, a, column)
+        vals = ring.row_valuations(pairings)
+        levels = [min(level, *vals[sl]) for level, sl in zip(levels, slices)]
+        if not any(levels):
+            break
     return levels
 
 

@@ -341,6 +341,21 @@ def test_verify(capsys):
     assert all(c["pass"] for c in doc["checks"])
 
 
+def test_verify_budget_at_large_lengths(capsys, monkeypatch):
+    # 9^5000 vectors: the count has more digits than Python prints (4300),
+    # so the refusal writes it as a power, before any coset is listed.
+    def list_nothing(universe):
+        raise AssertionError("cosets listed before the vector budget")
+
+    import chaincodes.cli
+
+    monkeypatch.setattr(chaincodes.cli, "cosets", list_nothing)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--ring", Z9_SPEC, "--ell", "5000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 4 and "budget" in err and "9^5000" in err and not out
+
+
 def test_exit_usage():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

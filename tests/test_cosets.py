@@ -49,6 +49,14 @@ def test_universe_validation():
         CosetUniverse(5, 6)  # q not a prime power
 
 
+@pytest.mark.parametrize("members", [[1.7, 2.2], ["3"], [True], [1, 2.0]])
+def test_subset_rejects_non_integer_members(members):
+    # Neither truncated ([1.7, 2.2] is not {1, 2}) nor converted.
+    with pytest.raises(SpecError, match="integers"):
+        CosetUniverse(10, 3).subset(members)
+    assert CosetUniverse(10, 3).subset([-1, 12]).members == {9, 2}
+
+
 @pytest.mark.parametrize(
     "ell,q", [(1, 2), (4, 3), (10, 3), (20, 3), (28, 3), (56, 3), (15, 2), (21, 4)]
 )

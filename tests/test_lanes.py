@@ -167,3 +167,15 @@ def test_only_digits_past_128_add_through_the_plus_rows():
 def test_workload_rings_keep_their_pivot_lanes(ring, base, headroom):
     lanes = ring._pivot_lanes
     assert (lanes.base, lanes.headroom, len(lanes.code)) == (base, headroom, 1)
+
+
+def test_one_digit_rings_share_their_add_and_digit_lanes():
+    # Both are the layout of one digit in a full byte, built once.
+    one_digit = [ring for ring in TABLE_RINGS if ring._digits[1] == 1]
+    names = {ring.short_name() for ring in one_digit}
+    assert {"GR(p=3,r=1,s=2)", "GR(p=2,r=1,s=3)", "GR(p=3,r=1,s=4)"} <= names
+    for ring in one_digit:
+        if ring._digits[0] <= 128:
+            assert ring._add_lanes is ring._digit_lanes is not None, ring
+        else:
+            assert ring._add_lanes is ring._digit_lanes is None, ring

@@ -90,6 +90,16 @@ def test_budget_enforced():
         enumerate_cyclic_submodules(Z9, 2, tight)
 
 
+def test_vector_budget_writes_huge_counts_as_powers():
+    # 9^5000 has more digits than Python prints (4300): the refusal writes
+    # the count as a power, and the bound is exact.
+    with pytest.raises(BudgetExceeded, match=r"9\^5000 vectors"):
+        brute_dual(LinearCode(Z9, 5000, []))
+    with pytest.raises(BudgetExceeded, match=r"9\^8 vectors"):
+        Budget(max_vectors=9**8 - 1).check_vectors(9, 8)
+    Budget(max_vectors=9**8).check_vectors(9, 8)
+
+
 def test_brute_dual_checks_its_budget_before_any_product(monkeypatch):
     calls = []
     coord_mul = oracle._coord_mul

@@ -35,7 +35,7 @@ from chaincodes import (
 )
 from chaincodes import oracle
 from chaincodes.cosets import coset, representatives
-from chaincodes.tracecodes import _lane_sums
+from chaincodes.tracecodes import _dot_levels, _lane_sums, _packed_levels
 from test_golden import BIG_RINGS, TABLE_RINGS
 
 Z9 = galois_ring(3, 1, 2)
@@ -276,7 +276,7 @@ def test_decompose_matches_membership_reference(code):
 # A length per ring of the golden tests' table rings at which the packed
 # decomposition sums its pairings over several chunks of columns where it
 # can (chunk widths: 30 for Z9 and GR(9,2), 35 for Z8, 8 for Z27), plus
-# F_131, whose base 131 > 128 leaves no lane room and takes ``row_dots``,
+# F_131, whose base 131 > 128 leaves no lane room and takes ``_dot_levels``,
 # and GR(25,2), above the table cap.
 PACKED_CASES = [
     (galois_ring(3, 1, 2), 56),
@@ -361,6 +361,36 @@ def test_decompose_rejects_random_non_cyclic_codes(ring, ell):
             decompose_cyclic(code)
         rejected += 1
     assert rejected >= 4
+
+
+@st.composite
+def long_codes(draw):
+    """The standard-form rows of a random cyclic code of length 20 or 56
+    over Z9 or F3[u]/(u^2), with up to two random rows, each scaled by a
+    random power of theta, added about half the time."""
+    ring = draw(st.sampled_from([galois_ring(3, 1, 2), eu_ring(3, 1, 2)]))
+    ell = draw(st.sampled_from([20, 56]))
+    ctx = context(ring, ell)
+    reps = representatives(ctx.universe)
+    levels = draw(
+        st.lists(st.integers(0, ring.s), min_size=len(reps), max_size=len(reps))
+    )
+    partition = make_partition(ctx.universe, ring.s, dict(zip(reps, levels)))
+    rows = list(code_from_partition(ctx, partition)._sf)
+    entries = st.lists(st.integers(0, ring.size - 1), min_size=ell, max_size=ell)
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        theta_t = ring.encode(ring.theta_pow(draw(st.integers(0, ring.s))))
+        rows.append(ring.row_scale(theta_t, bytes(draw(entries))))
+    return ctx, LinearCode(ring, ell, rows)._sf
+
+
+@settings(max_examples=60, deadline=None)
+@given(long_codes())
+def test_dot_levels_match_packed_levels(case):
+    # The fallback of rings without digit lanes against the lane sums, on
+    # rings that have both.
+    ctx, rows = case
+    assert _dot_levels(ctx, rows) == _packed_levels(ctx, rows)
 
 
 def element_pairings(ring, g, stack):
