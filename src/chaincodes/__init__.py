@@ -37,11 +37,7 @@ from .errors import (
     SingletonViolation,
     SpecError,
 )
-from .galois import (
-    GaloisExtension,
-    extend,
-    xi_multiplicative_order,
-)
+from .galois import GaloisExtension, extend
 from .modcodes import (
     LinearCode,
     closure_code,

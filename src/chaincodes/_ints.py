@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 from functools import cache
+from math import gcd
+
+from .errors import BudgetExceeded
 
 
 # Miller-Rabin with the first 13 prime bases is exact below this bound
@@ -16,6 +19,12 @@ def is_prime(n: int) -> bool:
     raises ValueError above it."""
     if n >= PRIME_TEST_BOUND:
         raise ValueError(f"primality of {n} is not certified above 3.3e24")
+    return _strong_probable_prime(n)
+
+
+def _strong_probable_prime(n: int) -> bool:
+    """Miller-Rabin to the PRIME_BASES: False means n is composite (or
+    below 2) at any size, True that n is prime below PRIME_TEST_BOUND."""
     if n < 2:
         return False
     for b in PRIME_BASES:
@@ -40,22 +49,68 @@ def is_prime(n: int) -> bool:
 
 @cache
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization of n >= 1 as ((prime, exponent), ...)."""
+    """Prime factorization of n >= 1 as ((prime, exponent), ...): trial
+    division below 10^4, then Pollard-Brent rho, each factor certified by
+    is_prime.  A factor that rho cannot split within its step budget, or
+    that cannot be certified prime (at or above PRIME_TEST_BOUND), raises
+    BudgetExceeded."""
     if n < 1:
         raise ValueError("factorize expects n >= 1")
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
+    out, d = {}, 2
+    while d < 10**4 and d * d <= n:
+        while n % d == 0:
+            n //= d
+            out[d] = out.get(d, 0) + 1
         d += 1 if d == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return tuple(out)
+    stack = [n] if n > 1 else []
+    while stack:  # no f here has a prime factor below d
+        f = stack.pop()
+        if f < PRIME_TEST_BOUND and is_prime(f):
+            out[f] = out.get(f, 0) + 1
+        elif _strong_probable_prime(f):
+            raise BudgetExceeded(
+                f"factoring: {f} is not certified prime above 3.3e24"
+            )
+        else:
+            part = _rho_divisor(f)
+            stack += [part, f // part]
+    return tuple(sorted(out.items()))
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of the odd composite n by Pollard-Brent rho (Brent,
+    1980), with x -> x^2 + c for c = 1, 2, ... in turn; raises
+    BudgetExceeded before it would take more than 2^18 steps in all (about
+    0.1 s), which as a rule finds a prime factor below about 2^36."""
+    steps = 1 << 18
+    for c in range(1, n):
+        y, power, product, g = 2, 1, 1, 1
+        while g == 1:
+            steps -= 2 * power
+            if steps < 0:
+                raise BudgetExceeded(
+                    f"factoring: Pollard-Brent rho split no factor of {n} "
+                    "within its step budget"
+                )
+            x = y  # the walk's value at the last power of two
+            for _ in range(power):
+                y = (y * y + c) % n
+            done = 0
+            while done < power and g == 1:
+                saved = y
+                for _ in range(min(128, power - done)):
+                    y = (y * y + c) % n
+                    product = product * (x - y) % n
+                g = gcd(product, n)
+                done += 128
+            power *= 2
+        if g == n:  # the batch overshot: step through it one gcd at a time
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % n
+                g = gcd(x - saved, n)
+        if g != n:
+            return g
 
 
 def integer_root(n: int, k: int) -> int:
@@ -111,8 +166,6 @@ def multiplicative_order(a: int, n: int) -> int:
     if n == 1:
         return 1
     a %= n
-    from math import gcd
-
     if gcd(a, n) != 1:
         raise ValueError(f"{a} is not a unit modulo {n}")
     return order_dividing(euler_phi(n), lambda d: pow(a, d, n) == 1)

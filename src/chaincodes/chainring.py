@@ -77,10 +77,10 @@ HENSEL_CAP = 6561
 # It admits ell = 1000 over F_3 (m = 100); the degree-100 extension of
 # F3[u]/(u^2) takes about 30 s to build, 3 s of it the modulus search.
 DEGREE_CAP = 100
-# The largest base ring a Galois extension of degree m >= 2 is built over.
-# The first trace embeds every base element: at degree 2 that takes about
-# 1 s for EU(3,4,2) and 3-5 s for F_(3^8), both of 6561 elements, and
-# 10 s for EU(2,8,2), of 65536.
+# The largest residue field size q of a base that a Galois extension of
+# degree m >= 2 is built over.  The embedding's root search lists the q
+# Teichmuller lifts of F_q: about 2.5 s for F_(3^8) at degree 2.  No base
+# element is listed, so the size of the base is not bounded.
 EXTENSION_BASE_CAP = 6561
 
 

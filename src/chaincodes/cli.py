@@ -260,11 +260,15 @@ def cmd_concat(args) -> int:
 
 def cmd_enumerate_cyclic(args) -> int:
     ring = _ring_from_args(args)
-    total, free = count_cyclic_codes(ring, args.ell)
-    if total > args.budget:
+    n = class_count_formula(CosetUniverse(args.ell, ring.q))
+    # s + 1 >= 2, so (s+1)^n > budget once 2^n is: the count is written as
+    # a power, as it can have too many digits to print.
+    if n > args.budget.bit_length() or (ring.s + 1) ** n > args.budget:
         raise BudgetExceeded(
-            f"{total} cyclic codes of length {args.ell} exceed budget {args.budget}"
+            f"{ring.s + 1}^{n} cyclic codes of length {args.ell} exceed "
+            f"budget {args.budget}"
         )
+    total, free = (ring.s + 1) ** n, 2**n
     items = []
     for partition, code in enumerate_cyclic_codes(ring, args.ell):
         items.append(

@@ -9,23 +9,35 @@ basis b_j = y^d theta^t, (t, d) = divmod(j, r), y of index B.  The
 embedding sends y to the Teichmuller lift w of the smallest residue root of
 the base modulus (a root, since the modulus divides X^(q-1) - 1); sigma^l
 sends the Teichmuller element x of index B in S to x^(q^l); and Tr(b_j) is
-the orbit sum of the sigma^l(b_j).
+the orbit sum of the sigma^l(b_j).  The root search lists the q
+Teichmuller lifts of F_q, so a degree m >= 2 over a base with q over
+``EXTENSION_BASE_CAP`` is refused before the top ring is built.
+
+One inverse undoes the embedding: S is free over Z/B on the products
+embed(b_j) xi^i (i < m), so an element's index digits times the inverse of
+the matrix of their digits are its coordinates on them, and block i of
+those coordinates is the digits of a_i in a = sum embed(a_i) xi^i.  This
+gives ``xi_coordinates``, ``unembed`` (block 0, the other blocks zero) and
+``in_base`` without listing the base.
 """
 
 from __future__ import annotations
 
 from functools import cache, cached_property
+from operator import mul
 
 from ._ints import order_dividing
 from .chainring import (
     EXTENSION_BASE_CAP,
+    GALOIS_RING,
     ChainRing,
     ChainRingSpec,
     RingElement,
+    galois_ring,
     make_ring,
 )
 from .errors import BudgetExceeded, SpecError
-from .modcodes import LinearCode, vdot
+from .modcodes import LinearCode
 
 
 def _digit_basis(ring: ChainRing, y: RingElement, layout: ChainRing) -> list:
@@ -41,11 +53,20 @@ def _digit_basis(ring: ChainRing, y: RingElement, layout: ChainRing) -> list:
     return basis
 
 
+def _index_digits(a: RingElement) -> list[int]:
+    """The base-B index digits d_j of a, lowest first."""
+    base, count = a.ring._digits
+    index, out = a.index, []
+    for _ in range(count):
+        index, d = divmod(index, base)
+        out.append(d)
+    return out
+
+
 def _digit_sum(a: RingElement, images, ring: ChainRing) -> RingElement:
     """sum_j d_j * images[j] in ring, over the base-B index digits d_j of a."""
-    out, index, base = ring.zero, a.index, a.ring._digits[0]
-    for image in images:
-        index, d = divmod(index, base)
+    out = ring.zero
+    for d, image in zip(_index_digits(a), images):
         if d:
             out = out + ring.int_mul(d, image)
     return out
@@ -61,19 +82,19 @@ class GaloisExtension:
         self.base = base
         self.m = m
         self.q = base.q
-        self.order = base.q**m - 1  # size of the Teichmuller unit group
         if m == 1:
             self.top = base
-        elif base.size > EXTENSION_BASE_CAP:
+        elif base.q > EXTENSION_BASE_CAP:
             raise BudgetExceeded(
-                f"extending {base.short_name()} ({base.size} elements) to "
-                f"degree {m} embeds every base element, over budget "
-                f"{EXTENSION_BASE_CAP}"
+                f"extending {base.short_name()} to degree {m} searches the "
+                f"q = {base.q} Teichmuller lifts of F_q for a root of its "
+                f"modulus, over budget q <= {EXTENSION_BASE_CAP}"
             )
-        else:
+        else:  # the spec refuses r*m over DEGREE_CAP before q^m is formed
             self.top = make_ring(
                 ChainRingSpec(base.family, base.p, base.r * m, base.s)
             )
+        self.order = base.q**m - 1  # size of the Teichmuller unit group
         # xi lifts the least residue c that generates F_(q^m)^*.
         top, n = self.top, self.order
 
@@ -116,18 +137,49 @@ class GaloisExtension:
         return _digit_sum(a, self._embed_images, self.top)
 
     @cached_property
-    def _unembed(self) -> dict[RingElement, RingElement]:
-        return {self.embed(a): a for a in self.base.elements()}
+    def _inverse(self) -> list[list[int]]:
+        """The columns, as integers, of the inverse over Z/B of the square
+        matrix whose row i*n + j holds the index digits of embed(b_j) xi^i,
+        for the n digit-basis elements b_j of R and i < m.  S is free over
+        Z/B on these products, and a's index digits times the inverse are
+        a's coordinates on them."""
+        base = self.base
+        ring = galois_ring(base.p, 1, base.s if base.family == GALOIS_RING else 1)
+        rows = [
+            [ring.element_at(d) for d in _index_digits(self.top._mul(b, xi_i))]
+            for xi_i in map(self.xi_pow, range(self.m))
+            for b in self._embed_images
+        ]
+        inverse = _invert_unit_matrix(ring, rows)
+        return [[a.index for a in column] for column in zip(*inverse)]
+
+    def _blocks(self, a: RingElement) -> list[int]:
+        """The base indices of the a_i with a = sum embed(a_i) xi^i, from
+        one solve: a's coordinates on the embed(b_j) xi^i, read in m blocks
+        of n base-B digits."""
+        radix, n = self.base._digits
+        digits = _index_digits(a)
+        coords = [sum(map(mul, digits, col)) % radix for col in self._inverse]
+        weights = [radix**j for j in range(n)]
+        return [
+            sum(map(mul, coords[i : i + n], weights))
+            for i in range(0, len(coords), n)
+        ]
 
     def in_base(self, b: RingElement) -> bool:
         if self.m == 1:
             return b.ring is self.base
-        return b in self._unembed
+        return b.ring is self.top and not any(self._blocks(b)[1:])
 
     def unembed(self, b: RingElement) -> RingElement:
-        if not self.in_base(b):
-            raise SpecError("element does not lie in the embedded base ring")
-        return b if self.m == 1 else self._unembed[b]
+        if self.m == 1:
+            if b.ring is self.base:
+                return b
+        elif b.ring is self.top:
+            first, *rest = self._blocks(b)
+            if not any(rest):
+                return self.base.element_at(first)
+        raise SpecError("element does not lie in the embedded base ring")
 
     # -- Teichmuller generator -------------------------------------------
 
@@ -187,17 +239,9 @@ class GaloisExtension:
         """The unique (a_0, ..., a_{m-1}) over R with a = sum embed(a_i) xi^i."""
         if self.m == 1:
             return (self.unembed(a),)
-        rhs = [self.trace(self.top._mul(a, self.xi_pow(j))) for j in range(self.m)]
-        return tuple([vdot(row, rhs) for row in self._gram_inv])
-
-    @cached_property
-    def _gram_inv(self):
-        """The inverse of the Gram matrix (Tr(xi^(i+j)))_{i,j < m}."""
-        gram = [
-            [self.trace_xi_pow(i + j) for j in range(self.m)]
-            for i in range(self.m)
-        ]
-        return _invert_unit_matrix(self.base, gram)
+        if a.ring is not self.top:
+            raise SpecError("xi_coordinates expects an element of the extension")
+        return tuple(map(self.base.element_at, self._blocks(a)))
 
 
 def _invert_unit_matrix(ring: ChainRing, mat):
@@ -219,9 +263,3 @@ def _invert_unit_matrix(ring: ChainRing, mat):
 def extend(base: ChainRing, m: int) -> GaloisExtension:
     """The Galois extension of degree m over the base ring (cached)."""
     return GaloisExtension(base, m)
-
-
-def xi_multiplicative_order(ext: GaloisExtension) -> int:
-    """The multiplicative order of xi, computed (q^m - 1 by construction)."""
-    top = ext.top
-    return order_dividing(ext.order, lambda e: top.pow(ext.xi, e) is top.one)

@@ -7,6 +7,7 @@ import json
 import time
 
 import pytest
+from deadline import deadline
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -310,14 +311,59 @@ def test_modulus_lift_budget(capsys, monkeypatch):
         assert code == 4 and "budget" in err and not out
 
 
-def test_extension_base_budget(capsys):
-    # ell = 5 over EU(3^6, 2) needs a degree-2 extension of a base of 531441
-    # elements, whose first trace ran past 60 s.
+def test_extension_of_a_large_base(capsys):
+    # ell = 5 over EU(3^6, 2) and ell = 4 over Z_(3^9) need degree-2
+    # extensions of bases of 531441 and 19683 elements, none of which is
+    # listed: the first ran past 60 s when the first trace embedded them all.
+    for spec, ell in (
+        ('{"family":"EU","p":3,"r":6,"s":2}', 5),
+        ('{"family":"GR","p":3,"r":1,"s":9}', 4),
+    ):
+        start = time.perf_counter()
+        with deadline(10):
+            code, out, err = run(
+                capsys, "build", "trace", "--ring", spec,
+                "--ell", str(ell), "--set", "1", "--json",
+            )
+        assert time.perf_counter() - start < 5.0
+        assert code == 0 and not err
+        assert json.loads(out)["length"] == ell
+
+
+def test_extension_residue_field_budget(capsys):
+    # ell = 25 over F_(3^10) needs a degree-2 extension whose embedding
+    # would search the 59049 Teichmuller lifts of F_q for a root.
     start = time.perf_counter()
     code, out, err = run(
-        capsys, "build", "trace", "--ring", '{"family":"EU","p":3,"r":6,"s":2}',
-        "--ell", "5", "--set", "1",
+        capsys, "build", "trace", "--ring", '{"family":"GR","p":3,"r":10,"s":1}',
+        "--ell", "25", "--set", "1",
     )
+    assert time.perf_counter() - start < 1.0
+    assert code == 4 and "budget" in err and not out
+
+
+def test_enumerate_cyclic_count_is_written_as_a_power(capsys):
+    # 3^44367 codes at ell = 3^12 - 1: the count has too many digits to
+    # print (exit 3), so it is compared as a power of the coset count.
+    start = time.perf_counter()
+    with deadline(10):
+        code, out, err = run(
+            capsys, "enumerate-cyclic", "--ring", Z9_SPEC, "--ell", "531440"
+        )
+    assert time.perf_counter() - start < 1.0
+    assert code == 4 and "3^44367 cyclic codes" in err and not out
+
+
+def test_enumerate_cyclic_at_a_large_prime_length(capsys):
+    # ell = 10^16 + 61 is prime: its two cosets pass the count budget, and
+    # the extension of degree ell - 1 is refused before q^m is formed.
+    # Factoring ell by trial division ran past 20 s.
+    start = time.perf_counter()
+    with deadline(10):
+        code, out, err = run(
+            capsys, "enumerate-cyclic", "--ring", Z9_SPEC,
+            "--ell", "10000000000000061",
+        )
     assert time.perf_counter() - start < 1.0
     assert code == 4 and "budget" in err and not out
 

@@ -288,7 +288,7 @@ def test_degree_one_contraction_lists_no_base():
     assert contract_dual(res, 2).same_code(res.code.dual())
     assert ctx.ext.unembed(res.gamma) is res.gamma
     assert not ctx.ext.in_base(Z9.one)
-    assert "_unembed" not in vars(ctx.ext)
+    assert "_inverse" not in vars(ctx.ext)
 
 
 def test_contract_dual_checks_the_length():

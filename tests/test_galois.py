@@ -16,7 +16,6 @@ from chaincodes import (
     extend,
     galois_ring,
     representatives,
-    xi_multiplicative_order,
 )
 from chaincodes._ints import factorize
 from chaincodes.chainring import EXTENSION_BASE_CAP
@@ -33,7 +32,7 @@ def test_extend_z9_shape():
     assert ext.top.q == 9 and ext.top.size == 81
     assert ext.order == 8  # Teichmuller group of GR(9, 2)
     assert ext.xi.coords == (7, 7)
-    assert xi_multiplicative_order(ext) == 8
+    assert ext.top.multiplicative_order(ext.xi) == 8
 
 
 def test_xi_pow_table():
@@ -73,7 +72,7 @@ def test_embedding_is_ring_hom(base, m):
         for b in elems:
             assert ext.embed(a + b) == ext.embed(a) + ext.embed(b)
             assert ext.embed(a * b) == ext.embed(a) * ext.embed(b)
-    # injectivity via the unembed table
+    # injectivity via unembed
     for a in elems:
         assert ext.unembed(ext.embed(a)) == a
 
@@ -87,23 +86,86 @@ def test_foreign_element_is_not_in_the_base():
         ext.unembed(x)
 
 
-def test_extension_base_budget(monkeypatch):
-    # A base over the cap is refused before the top ring is built: the
-    # first trace over EU(3^6, 2) at degree 2 ran past 60 s embedding its
-    # 531441 elements.  Degree 1 builds nothing, so it has no cap.
+@pytest.mark.parametrize(
+    "base", [eu_ring(3, 6, 2), eu_ring(2, 8, 2), galois_ring(3, 1, 9)]
+)
+def test_extension_of_a_large_base_lists_no_base_element(base):
+    # 531441, 65536 and 19683 elements: the inverse embedding solves for
+    # digits and never embeds the whole base.
+    start = time.perf_counter()
+    ext = extend(base, 2)
+    rng = random.Random(f"unembed:{base.spec}")
+    for _ in range(50):
+        a = base.element_at(rng.randrange(base.size))
+        assert ext.unembed(ext.embed(a)) is a
+    assert not ext.in_base(ext.xi)
+    assert time.perf_counter() - start < 5.0
+
+
+def test_extension_residue_field_budget(monkeypatch):
+    # The embedding's root search lists the q Teichmuller lifts of F_q, so
+    # a base with q = 3^10 is refused before the top ring is built.  Degree
+    # 1 builds nothing, so it has no cap.
     from chaincodes import galois
 
     def build_nothing(spec):
         raise AssertionError("top ring built over the cap")
 
     monkeypatch.setattr(galois, "make_ring", build_nothing)
+    base = galois_ring(3, 10, 1)
+    assert base.q > EXTENSION_BASE_CAP
     start = time.perf_counter()
-    for base in (eu_ring(3, 6, 2), eu_ring(2, 8, 2), galois_ring(3, 10, 1)):
-        assert base.size > EXTENSION_BASE_CAP
-        with pytest.raises(BudgetExceeded, match="budget"):
-            GaloisExtension(base, 2)
-        assert GaloisExtension(base, 1).top is base
+    with pytest.raises(BudgetExceeded, match="budget"):
+        GaloisExtension(base, 2)
+    assert GaloisExtension(base, 1).top is base
     assert time.perf_counter() - start < 1.0
+
+
+def test_extension_degree_is_refused_before_q_to_the_m():
+    # ell = 10^16 + 61 over Z9 has m = ell - 1: the degree cap refuses the
+    # top ring before q^m - 1, with 10^16 digits, is formed.
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="budget"):
+        GaloisExtension(Z9, 10**16 + 60)
+    assert time.perf_counter() - start < 1.0
+
+
+INVERSE_BASES = [
+    galois_ring(2, 1, 2),  # Z4
+    Z8,
+    Z9,
+    galois_ring(5, 1, 2),  # Z25
+    galois_ring(3, 1, 3),  # Z27
+    GR4_2,
+    galois_ring(3, 2, 2),  # GR(9, 2)
+    eu_ring(2, 1, 2),  # F2[u]/(u^2)
+    F3U,
+    eu_ring(3, 1, 3),  # F3[u]/(u^3)
+    eu_ring(3, 2, 2),
+]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("base", INVERSE_BASES)
+def test_inverse_embedding_agrees_with_the_listed_base(base, m):
+    ext = extend(base, m)
+    top = ext.top
+    listed = {ext.embed(a): a for a in base.elements()}
+    assert len(listed) == base.size
+    for b, a in listed.items():
+        assert ext.unembed(b) is a and ext.in_base(b)
+    if top.size <= 10**4:
+        elems = top.elements()
+    else:
+        rng = random.Random(f"inverse:{top.spec}")
+        elems = [top.element_at(rng.randrange(top.size)) for _ in range(200)]
+    for b in elems:
+        coords = ext.xi_coordinates(b)
+        acc = top.zero
+        for i, c in enumerate(coords):
+            acc = acc + ext.embed(c) * ext.xi_pow(i)
+        assert acc is b
+        assert ext.in_base(b) == (b in listed)
 
 
 def test_frobenius_fixes_exactly_the_base():

@@ -1,10 +1,14 @@
 """Tests for the integer helpers."""
 
 import time
-from math import gcd
+from math import gcd, prod
 
 import pytest
+from deadline import deadline
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chaincodes import BudgetExceeded
 from chaincodes._ints import (
     PRIME_TEST_BOUND,
     factorize,
@@ -46,6 +50,53 @@ def test_is_prime_large():
     assert time.perf_counter() - start < 0.5
     with pytest.raises(ValueError):
         is_prime(PRIME_TEST_BOUND)
+
+
+def trial_division_factorize(n):
+    out, d = [], 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            out.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=10**12 - 1))
+def test_factorize_agrees_with_trial_division(n):
+    assert factorize(n) == trial_division_factorize(n)
+
+
+def test_factorize_splits_three_to_the_m_minus_one():
+    # 3^70 - 1 has the prime factors 2664097031 and 374857981681 above the
+    # trial bound: trial division up to its square root did not return
+    # within 20 s.
+    with deadline(5):
+        assert factorize(3**70 - 1)[-2:] == ((2664097031, 1), (374857981681, 1))
+        for m in range(1, 61):
+            fac = factorize(3**m - 1)
+            assert prod(p**e for p, e in fac) == 3**m - 1
+            assert all(is_prime(p) for p, _ in fac)
+            assert [p for p, _ in fac] == sorted({p for p, _ in fac})
+
+
+def test_factorize_refuses_what_it_cannot_split_or_certify():
+    # Two primes near 2^40.5 are beyond the rho step budget; 2^89 - 1 is a
+    # prime above the certified range; their product with another prime
+    # is composite, but rho splits neither within the budget.
+    p, q = 1649267441681, 1374389534747
+    assert is_prime(p) and is_prime(q)
+    mersenne = 2**89 - 1
+    with deadline(5):
+        for n in (p * q, mersenne, 3 * mersenne, (2**61 - 1) * mersenne):
+            with pytest.raises(BudgetExceeded):
+                factorize(n)
 
 
 def test_prime_power_base_agrees_with_factorize():
