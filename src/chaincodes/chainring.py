@@ -30,20 +30,23 @@ against every element), and the negation, the theta-valuation and each
 level's ``theta_quotient`` whole.  A unit's inverse is read off its ``*``
 row.  Element arithmetic maps an index back through ``elements()``.
 
-Elimination runs on encoded rows: ``encode_row`` gives a ``bytes`` string
-of element indices in a ring with tables and a list of elements above the
-cap, and the row operations (``row_add``, ``row_axpy``, ``row_scale``,
-``row_divide``, ``neg_outer``, ``row_valuations``) and the entry
-operations (``entry_valuation``, ``entry_quotient``, ``entry_divide``,
-``entry_inv``) take and return that encoding.  Zero encodes as a false
-value either way.  On byte rows they run in C, through ``bytes.translate``
-with those tables.  Addition is digit-wise on indices (base B = ``p^s`` for
-``GR``, ``p`` for ``EU``), so index rows re-spelt in byte lanes add as
-integers (``int.from_bytes``) with no digit sum carrying, until a fold
-takes the digits back modulo B.  ``_lane_layout`` builds each layout as
-a ``Lanes`` record, once, so that layouts that coincide (the add and digit
-lanes of a one-digit ring) are one record.  The kernel keeps three, each
-the fastest of them at its task:
+Only this module knows how rows are encoded.  ``encode`` and
+``encode_rows`` give an element's index with tables and the element
+itself above the cap, so a row is a ``bytes`` string or a list of
+elements, and they raise SpecError for anything not of this ring.  The
+row operations (``row_add``, ``row_axpy``, ``row_scale``, ``row_divide``,
+``neg_outer``, ``row_valuations``), the entry operations
+(``entry_valuation``, ``entry_quotient``, ``entry_inv``, which hold the
+table branch of the element operations), ``eliminate`` and the pairings
+of ``decompose_cyclic`` (``pairing_levels``) take that encoding, in which
+zero is a false value.  On byte rows they run in C, through
+``bytes.translate`` with those tables.  Addition is digit-wise on indices
+(base B = ``p^s`` for ``GR``, ``p`` for ``EU``), so index rows re-spelt in
+byte lanes add as integers (``int.from_bytes``) with no digit sum
+carrying, until a fold takes the digits back modulo B.  ``_lane_layout``
+builds each layout as a ``Lanes`` record, once, so that layouts that
+coincide (the add and digit lanes of a one-digit ring) are one record.
+The kernel keeps three, each the fastest of them at its task:
 
 * ``_pivot_lanes`` (a whole index in one lane below 128) for
   ``eliminate``, one rank-1 update of the whole matrix per pivot, and
@@ -51,15 +54,15 @@ the fastest of them at its task:
   several updates, and bit 7 of a lane marks a pivot row;
 * ``_add_lanes`` (full bytes, at most two planes when B <= 128) for
   ``row_add``; only rings with B > 128 add through the ``+`` table;
-* ``_digit_lanes`` (one digit per byte) for ``decompose_cyclic``, which
-  adds a code row's pairings with every trace row of its context in one
+* ``_digit_lanes`` (one digit per byte) for ``pairing_levels``, which
+  adds a code row's pairings with every trace row of a context in one
   C-level sum per chunk of columns.
 """
 
 from __future__ import annotations
 
 import json
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from operator import getitem
 
 from . import _polys
@@ -211,6 +214,21 @@ def _lane_sum(u, w) -> bytes:
     return total.to_bytes(len(u), "little")
 
 
+def _lane_sums(images, g, width: int, fold: bytes, size: int) -> bytes:
+    """The sum of the column images images[j][g_j] as ``size`` byte lanes,
+    each congruent modulo B to the sum of its digits.  The lanes are folded
+    modulo B after each chunk of ``width`` columns, before any can pass
+    255 and carry into its neighbour."""
+    total = sum(map(getitem, images[:width], g[:width]))
+    for lo in range(width, len(g), width):
+        residue = total.to_bytes(size, "little").translate(fold)
+        total = sum(
+            map(getitem, images[lo : lo + width], g[lo : lo + width]),
+            int.from_bytes(residue, "little"),
+        )
+    return total.to_bytes(size, "little")
+
+
 def _or_bytes(u, w) -> bytes:
     """Two byte rows OR-ed byte by byte."""
     total = int.from_bytes(u, "little") | int.from_bytes(w, "little")
@@ -218,7 +236,7 @@ def _or_bytes(u, w) -> bytes:
 
 
 def _foreign(other) -> SpecError:
-    return SpecError(f"{other!r} is an element of another ring")
+    return SpecError(f"{other!r} belongs to another ring, or to none")
 
 
 class RingElement:
@@ -540,17 +558,40 @@ class ChainRing:
     # -- elimination kernel on encoded rows ---------------------------------
 
     def encode(self, a: RingElement):
-        """The kernel's encoding of an element: its index with tables, the
-        element itself above the cap."""
+        """The kernel's encoding of an element of this ring: its index with
+        tables, the element itself above the cap."""
+        if not isinstance(a, RingElement) or a.ring is not self:
+            raise _foreign(a)
         return a.index if self.has_tables else a
 
     def decode(self, x) -> RingElement:
         return self._elements[x] if self.has_tables else x
 
     def encode_row(self, v):
-        if self.has_tables:
-            return bytes([a.index for a in v])
-        return list(v)
+        """The kernel's encoding of a row: see ``encode_rows``."""
+        (row,) = self.encode_rows([v])
+        return row
+
+    def encode_rows(self, rows, length: int | None = None) -> list:
+        """The encoding of each row, a sequence of elements of this ring or
+        a row already encoded for it (with tables, ``bytes`` of indices
+        below ``size``), of ``length`` entries when given; anything else
+        raises SpecError.  Every row that enters the kernel is checked here."""
+        tables, out = self.has_tables, []
+        for v in rows:
+            if not (tables and isinstance(v, bytes)):
+                v = list(v)
+                for a in v:
+                    if not isinstance(a, RingElement) or a.ring is not self:
+                        raise _foreign(a)
+                if tables:
+                    v = bytes([a.index for a in v])
+            elif v and max(v) >= self.size:
+                raise SpecError(f"row {v!r} has an index outside the ring")
+            if length is not None and len(v) != length:
+                raise SpecError(f"row has {len(v)} entries, expected {length}")
+            out.append(v)
+        return out
 
     def decode_row(self, v) -> tuple[RingElement, ...]:
         if self.has_tables:
@@ -612,12 +653,13 @@ class ChainRing:
     def row_valuations(self, v):
         """The theta-valuation of each entry (s for a zero entry)."""
         if not self.has_tables:
-            return [self.theta_valuation(a) for a in v]
+            return list(map(self._valuation_coords, v))
         return v.translate(self._val_bytes)
 
     def row_divide(self, v, t: int):
-        """``entry_divide`` of each entry by theta^t; raises SpecError
-        unless theta^t divides every entry."""
+        """Some c with theta^t * c_i = v_i for every entry, or SpecError:
+        ``theta_quotient`` with tables, ``theta_shift_down`` above the cap,
+        which differ by multiples of theta^(s-t)."""
         if not self.has_tables:
             return [self.theta_shift_down(a, t) for a in v]
         if min(v.translate(self._val_bytes), default=t) < t:
@@ -721,7 +763,7 @@ class ChainRing:
         done = set()
         chosen, pivots = [], []
         while True:
-            vals = map(self.theta_valuation, x)
+            vals = map(self._valuation_coords, x)
             hit = min(
                 ((t, i) for i, t in enumerate(vals) if t < s and i % h not in done),
                 default=None,
@@ -731,8 +773,8 @@ class ChainRing:
             t, at = hit
             col, j = divmod(at, h)
             unit = self.theta_shift_down(x[at], t)
-            row = self.row_scale(self.inv(unit), x[j::h])
-            coeffs = [self.theta_quotient(b, t) for b in x[col * h : (col + 1) * h]]
+            row = self.row_scale(self._inv_coords(unit), x[j::h])
+            coeffs = [self._quotient_digits(b, t) for b in x[col * h : (col + 1) * h]]
             coeffs[j] = unit - self.one
             x = self.row_add(x, self.neg_outer(row, coeffs))
             done.add(j)
@@ -773,33 +815,107 @@ class ChainRing:
             fresh -= 1
         return bytes(x.translate(unlane))
 
+    # -- the pairings of ``decompose_cyclic`` -------------------------------
+
+    def column_images(self, stack):
+        """In a ring with digit lanes, per column j of the encoded rows of
+        ``stack``, the table a -> the index digits of a*h_j over the rows h,
+        digit-major, one byte lane each, packed little-endian into one int,
+        filled on first use.  None without digit lanes."""
+        if self._digit_lanes is None:
+            return None
+        return [
+            _LazyTable(partial(self._column_image, bytes(column)))
+            for column in zip(*stack)
+        ]
+
+    def _column_image(self, column: bytes, a: int) -> int:
+        products = column.translate(self._mul_bytes[a])
+        split = self._digit_lanes.code
+        digits = b"".join([products.translate(table) for table in split])
+        return int.from_bytes(digits, "little")
+
+    def pairing_levels(self, rows, stack, slices, images) -> list[int]:
+        """Per slice of the encoded ``stack``, the least valuation of <g, h>
+        over the encoded ``rows`` g and the stack rows h in it (s when all
+        are zero), given the stack's ``column_images``; without digit lanes
+        ``_dot_levels``.  The images of g's entries hold the index digits of
+        g_j*h_j for every h, one byte lane per (digit, h), so one integer
+        sum over the columns adds every pairing (``_lane_sums``).  Each
+        lane's sum marks the valuation of its digit as a bit, the marks of
+        all rows are OR-ed, and h's level is read off its digit lanes."""
+        if images is None:
+            return self._dot_levels(rows, stack, slices)
+        width, fold = self._digit_lanes.headroom, self._digit_lanes.fold
+        marks, reads = self._level_reads
+        height = len(stack)
+        size = height * len(reads)
+        units = int.from_bytes(b"\x01" * height, "little")  # the digit-0 lanes
+        seen = 0
+        for g in rows:
+            sums = _lane_sums(images, g, width, fold, size)
+            seen |= int.from_bytes(sums.translate(marks), "little")
+            if seen & units == units:  # every h has a unit pairing: all levels 0
+                break
+        lanes = seen.to_bytes(size, "little")
+        digits = [
+            lanes[k * height : (k + 1) * height].translate(table)
+            for k, table in enumerate(reads)
+        ]
+        return [min([min(d[sl]) for d in digits]) for sl in slices]
+
+    @cached_property
+    def _level_reads(self) -> tuple[bytes, tuple[bytes, ...]]:
+        """For the digit lanes, ``marks`` takes a lane sum y to the bit
+        1 << v, v the valuation of y mod B (no bit for 0), and ``reads[k]``
+        an OR of marks of digit-k lanes to its lowest bit plus the valuation
+        of B^k (s for 0): the valuation of digit * B^k is that of the digit
+        plus that of B^k, and an element's is the least over its digits."""
+        s, vals = self.s, self._digit_lanes.vals
+        marks = vals[0].translate(_translation([1 << v for v in range(s)]))
+        reads = tuple(
+            bytes((y & -y).bit_length() - 1 + v[1] if y else s for y in range(256))
+            for v in vals
+        )
+        return marks, reads
+
+    def _dot_levels(self, rows, stack, slices) -> list[int]:
+        """``pairing_levels`` without digit lanes.  Per row g, one
+        ``row_axpy`` per nonzero g_j with column j of the stack gives minus
+        g's pairings with every stack row, of the same valuations."""
+        height = len(stack)
+        columns = self.columns(stack)
+        zero = self.encode_row([self.zero] * height)
+        levels = [self.s] * len(slices)
+        for g in rows:
+            pairings = zero
+            for j, a in enumerate(g):
+                if a:
+                    column = columns[j * height : (j + 1) * height]
+                    pairings = self.row_axpy(pairings, a, column)
+            vals = self.row_valuations(pairings)
+            levels = [min(level, *vals[sl]) for level, sl in zip(levels, slices)]
+            if not any(levels):
+                break
+        return levels
+
     def entry_valuation(self, x) -> int:
+        """``theta_valuation`` on an encoded entry."""
         if not self.has_tables:
-            return self.theta_valuation(x)
+            return self._valuation_coords(x)
         return self._val_bytes[x]
 
     def entry_quotient(self, x, v: int):
-        """theta_quotient on an encoded entry."""
+        """``theta_quotient`` on an encoded entry."""
         if not self.has_tables:
-            return self.theta_quotient(x, v)
-        return self._quo_bytes[v][x]
-
-    def entry_divide(self, x, v: int):
-        """Some c with theta^v * c = x; raises SpecError unless theta^v
-        divides x.  With tables c is ``theta_quotient(x, v)``, above the
-        cap ``theta_shift_down(x, v)``; the two differ by a multiple of
-        theta^(s-v) and agree on everything theta^v multiplies."""
-        if not self.has_tables:
-            return self.theta_shift_down(x, v)
-        if self._val_bytes[x] < v:
-            raise SpecError("element is not divisible by theta^t")
+            return self._quotient_digits(x, v)
         return self._quo_bytes[v][x]
 
     def entry_inv(self, x):
         """The inverse of a unit; with tables, read off the unit's ``*``
         row as the index that it takes to one."""
         if not self.has_tables:
-            return self.inv(x)
+            return self._inv_coords(x)
         inverse = self._mul_bytes[x].find(self.one.index)
         if inverse < 0:
             raise ZeroDivisionError("element is not a unit")
@@ -839,9 +955,7 @@ class ChainRing:
 
     def theta_valuation(self, a: RingElement) -> int:
         """Largest t <= s with a in R theta^t (s for the zero element)."""
-        if self.has_tables:
-            return self._val_bytes[a.index]
-        return self._valuation_coords(a)
+        return self.entry_valuation(self.encode(a))
 
     def _valuation_coords(self, a: RingElement) -> int:
         if self.family == EU_POWER_SERIES:
@@ -912,9 +1026,7 @@ class ChainRing:
         by v places, with zeros on top: b = r + theta^v * quotient, where r
         has its digits below place v.  This is the elimination coefficient
         that reduces b modulo theta^v."""
-        if self.has_tables:
-            return self._elements[self._quo_bytes[v][b.index]]
-        return self._quotient_digits(b, v)
+        return self.decode(self.entry_quotient(self.encode(b), v))
 
     def _quotient_digits(self, b: RingElement, v: int) -> RingElement:
         digits = self.theta_adic_expansion(b)
@@ -926,9 +1038,7 @@ class ChainRing:
         return self.residue(a) != 0
 
     def inv(self, a: RingElement) -> RingElement:
-        if self.has_tables:
-            return self._elements[self.entry_inv(a.index)]
-        return self._inv_coords(a)
+        return self.decode(self.entry_inv(self.encode(a)))
 
     def _inv_coords(self, a: RingElement) -> RingElement:
         if not self.is_unit(a):

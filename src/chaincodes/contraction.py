@@ -47,8 +47,7 @@ def concatenation_code(code: LinearCode, gamma: RingElement, u: int) -> LinearCo
     """The cyclic code of length u*n concatenated from a gamma-constacyclic
     code of length n."""
     ring = code.ring
-    if gamma.ring is not ring:
-        raise SpecError("gamma must belong to the code's ring")
+    c = ring.encode(gamma)  # SpecError unless gamma is of the code's ring
     if not ring.is_unit(gamma):
         raise SpecError("gamma must be a unit")
     if ring.pow(gamma, u) != ring.one:
@@ -61,7 +60,6 @@ def concatenation_code(code: LinearCode, gamma: RingElement, u: int) -> LinearCo
     # the pivots are those of the code.  With gamma^u = 1 the row
     # gamma * concat(k) = concat(gamma * k) has block 0 equal to k, so these
     # rows keep every invariant of the standard form.
-    c = ring.encode(gamma)
     sf = [ring.row_scale(c, r) for r in rows]
     return LinearCode._with_form(ring, u * code.length, rows, sf, code.pivots)
 
@@ -128,9 +126,10 @@ def preimage_code(code: LinearCode, gamma: RingElement, u: int) -> LinearCode:
     of d scaled by the matching gamma powers, so the preimage is the dual
     of T applied to the generators of the code's dual.
     """
+    ring = code.ring
+    ring.encode(gamma)  # SpecError unless gamma is of the code's ring
     if u < 1 or code.length % u:
         raise SpecError(f"u = {u} must divide the length {code.length}")
-    ring = code.ring
     n = code.length // u
     # row_axpy subtracts, so the blocks after the first are scaled by
     # -gamma^(u-1-b).

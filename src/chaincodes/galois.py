@@ -229,6 +229,17 @@ class GaloisExtension:
             return a
         return _digit_sum(a, self._basis_traces, self.base)
 
+    def trace_products(self, x: RingElement, ys) -> list[RingElement]:
+        """Tr(x*y) for each y, as sum_j d_j Tr(x b_j) over the index digits
+        d_j of y and the digit basis b_j of S: n products, not one per y."""
+        top, ys = self.top, list(ys)
+        if x.ring is not top or any(y.ring is not top for y in ys):
+            raise SpecError("trace expects elements of the extension")
+        if self.m == 1:
+            return [top._mul(x, y) for y in ys]
+        images = [self.trace(top._mul(x, b)) for b in self._sigma_images[0]]
+        return [_digit_sum(y, images, self.base) for y in ys]
+
     def trace_xi_pow(self, e: int) -> RingElement:
         """Tr(xi^e)."""
         return self.trace(self.xi_pow(e))

@@ -60,30 +60,15 @@ def constashift(v, gamma: RingElement):
 class LinearCode:
     """An R-submodule of R^length, spanned by the given generator rows.
 
-    A row is a sequence of ring elements or, in a ring with tables, a
-    ``bytes`` row of element indices as ``ring.encode_row`` makes it.
-    ``generators`` and ``sf_rows`` hold element tuples, decoded from the
-    encoded rows when first read."""
+    A row is a sequence of ring elements or a row already encoded for the
+    ring, as ``ring.encode_rows`` checks and makes it.  ``generators`` and
+    ``sf_rows`` hold element tuples, decoded from the encoded rows when
+    first read."""
 
     def __init__(self, ring: ChainRing, length: int, rows=()):
         if length < 1:
             raise SpecError("code length must be >= 1")
-        encoded = []
-        for r in rows:
-            if isinstance(r, bytes) and ring.has_tables:
-                if len(r) != length:
-                    raise SpecError("generator row length mismatch")
-                if r and max(r) >= ring.size:
-                    raise SpecError("generator entries must belong to the ring")
-                encoded.append(r)
-                continue
-            r = tuple(r)
-            if len(r) != length:
-                raise SpecError("generator row length mismatch")
-            for a in r:
-                if not isinstance(a, RingElement) or a.ring is not ring:
-                    raise SpecError("generator entries must belong to the ring")
-            encoded.append(ring.encode_row(r))
+        encoded = ring.encode_rows(rows, length)
         self.ring = ring
         self.length = length
         self._gens = tuple(encoded)
@@ -130,9 +115,7 @@ class LinearCode:
         return self.rank == 0
 
     def __contains__(self, v) -> bool:
-        v = self.ring.encode_row(v)
-        if len(v) != self.length:
-            raise SpecError("vector length mismatch")
+        (v,) = self.ring.encode_rows([v], self.length)
         return self._holds(v)
 
     def _holds(self, v) -> bool:
@@ -194,7 +177,7 @@ class LinearCode:
         the row was chosen, and the later pivot rows it was reduced by have
         valuation >= t_i.  So subtracting theta_shift_down(g_i[j], t_i)
         times column c_i from each column j != c_i (any preimage of g_i[j]
-        under theta^t_i serves: ``entry_divide``) clears row i but for its
+        under theta^t_i serves: ``row_divide``) clears row i but for its
         pivot, and changes no other row, because column c_i is theta^t_i at
         row i and zero at every other: the rows before i are cleared
         already, and the rows after it are zero there.  No row operation
@@ -324,11 +307,9 @@ def is_constacyclic(code: LinearCode, gamma: RingElement) -> bool:
     """tau_gamma-invariance, checked on generators (sufficient by linearity):
     each encoded standard-form row, shifted, must be in the code."""
     ring = code.ring
-    if gamma.ring is not ring:
-        raise SpecError("gamma must belong to the code's ring")
+    c = ring.encode(gamma)  # SpecError unless gamma is of the code's ring
     if code._sf and not ring.is_unit(gamma):
         raise SpecError("constashift requires a unit multiplier")
-    c = ring.encode(gamma)
     return all(
         code._holds(ring.row_scale(c, g[-1:]) + g[:-1]) for g in code._sf
     )
@@ -378,11 +359,11 @@ def trace_code(ext, code: LinearCode) -> LinearCode:
     """
     if code.ring != ext.top:
         raise SpecError("trace_code expects a code over the extension")
-    rows = []
-    for g in code.sf_rows:
-        for k in range(ext.m):
-            xk = ext.xi_pow(k)
-            rows.append(tuple([ext.trace(xk * a) for a in g]))
+    rows = [
+        ext.trace_products(ext.xi_pow(k), g)
+        for g in code.sf_rows
+        for k in range(ext.m)
+    ]
     return LinearCode(ext.base, code.length, rows)
 
 

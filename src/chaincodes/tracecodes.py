@@ -6,10 +6,12 @@ code with codewords (Tr(x eta^(z j)))_j, and every cyclic code over R is a
 direct sum of theta-power multiples of these, one per coset.  The levels
 form a (q, s)-cyclotomic partition of {0, ..., ell-1}.  A context holds
 the powers eta^e for e < ell and, built on first use, the traces
-Tr(xi^k eta^e) for k < m, each coset's trace-row code, which reads them
-at the exponents z*j mod ell, and what ``decompose_cyclic`` pairs codes
-with: the stack of every coset's opposite trace rows and, in a ring whose
-index digits fit byte lanes, the packed images of each stack column.
+Tr(xi^k eta^e) for k < m (one product per index digit of S for each k,
+``GaloisExtension.trace_products``), each coset's trace-row code, which
+reads them at the exponents z*j mod ell, and what ``decompose_cyclic``
+pairs codes with: the stack of every coset's opposite trace rows and the
+ring's ``column_images`` of it.  ``ChainRing.pairing_levels`` pairs them;
+this module keeps the algebra and knows no row encoding.
 """
 
 from __future__ import annotations
@@ -17,9 +19,8 @@ from __future__ import annotations
 from functools import cache, cached_property, partial
 from itertools import product
 from math import gcd
-from operator import getitem
 
-from .chainring import ChainRing, RingElement, _LazyTable, _translation
+from .chainring import ChainRing, RingElement, _LazyTable
 from .cosets import (
     CosetSet,
     CosetUniverse,
@@ -60,7 +61,7 @@ class EvalContext:
         """Tr(xi^k eta^e), indexed [k][e], for k < m and e < ell."""
         ext = self.ext
         return [
-            [ext.trace(ext.top._mul(xk, y)) for y in self.eta_pows]
+            ext.trace_products(xk, self.eta_pows)
             for xk in map(ext.xi_pow, range(self.m))
         ]
 
@@ -79,24 +80,10 @@ class EvalContext:
         return rows, slices
 
     @cached_property
-    def column_images(self) -> list[_LazyTable]:
-        """Per column j of the opposite stack (a ring with digit lanes),
-        the table a -> ``_column_image`` of a times that column, filled on
-        first use."""
-        rows, _ = self.opposite_stack
-        return [
-            _LazyTable(partial(self._column_image, bytes(column)))
-            for column in zip(*rows)
-        ]
-
-    def _column_image(self, column: bytes, a: int) -> int:
-        """The index digits of a*h_j over the stack rows h, digit-major,
-        one byte each, packed little-endian into one int."""
-        ring = self.ring
-        products = column.translate(ring._mul_bytes[a])
-        split = ring._digit_lanes.code
-        digits = b"".join([products.translate(table) for table in split])
-        return int.from_bytes(digits, "little")
+    def column_images(self):
+        """The ring's ``column_images`` of the opposite stack (None in a
+        ring without digit lanes)."""
+        return self.ring.column_images(self.opposite_stack[0])
 
 
 @cache
@@ -152,10 +139,8 @@ def psi(ctx: EvalContext, z: int, x: RingElement):
         raise SpecError(
             f"element is not in the degree-{m_z} subextension of coset {z}"
         )
-    ext = ctx.ext
-    return tuple(
-        ext.trace(ext.top._mul(x, ctx.eta_pow(z * j))) for j in range(ctx.ell)
-    )
+    ys = [ctx.eta_pow(z * j) for j in range(ctx.ell)]
+    return tuple(ctx.ext.trace_products(x, ys))
 
 
 def code_from_partition(
@@ -207,10 +192,8 @@ def decompose_cyclic(code: LinearCode) -> CyclotomicPartition:
         )
     ctx = context(ring, code.length)
     s = ring.s
-    if ring._digit_lanes is None:
-        levels = _dot_levels(ctx, code._sf)
-    else:
-        levels = _packed_levels(ctx, code._sf)
+    stack, slices = ctx.opposite_stack
+    levels = ring.pairing_levels(code._sf, stack, slices, ctx.column_images)
     universe = ctx.universe
     blocks = [set() for _ in range(s + 1)]
     rank = 0  # log_q |D|
@@ -222,92 +205,6 @@ def decompose_cyclic(code: LinearCode) -> CyclotomicPartition:
     return CyclotomicPartition(
         universe, [CosetSet(universe, frozenset(b)) for b in blocks]
     )
-
-
-def _packed_levels(ctx: EvalContext, rows) -> list[int]:
-    """Each coset's level, the least valuation of <g, h> over the byte rows
-    g and its slice of the opposite stack, for a ring with digit lanes.
-
-    The column images of g's entries hold the index digits of g_j*h_j for
-    every h in the stack, one byte lane per (digit, h), so one integer sum
-    over the columns adds every pairing at once (``_lane_sums``).  Each
-    lane's sum then marks the valuation of its digit as a bit, the marks
-    of all rows are OR-ed, and the least valuation of the pairings with h
-    is read off h's digit lanes."""
-    ring = ctx.ring
-    width, fold = ring._digit_lanes.headroom, ring._digit_lanes.fold
-    marks, reads = _level_reads(ring)
-    images = ctx.column_images
-    stack, slices = ctx.opposite_stack
-    height = len(stack)
-    size = height * len(reads)
-    units = int.from_bytes(b"\x01" * height, "little")  # the digit-0 lanes
-    seen = 0
-    for g in rows:
-        sums = _lane_sums(images, g, width, fold, size)
-        seen |= int.from_bytes(sums.translate(marks), "little")
-        if seen & units == units:  # every h has a unit pairing: all levels 0
-            break
-    lanes = seen.to_bytes(size, "little")
-    digits = [
-        lanes[k * height : (k + 1) * height].translate(table)
-        for k, table in enumerate(reads)
-    ]
-    return [min([min(d[sl]) for d in digits]) for sl in slices]
-
-
-@cache
-def _level_reads(ring: ChainRing) -> tuple[bytes, tuple[bytes, ...]]:
-    """For the digit lanes, ``marks`` takes a lane sum y to the bit 1 << v,
-    v the valuation of y mod B (no bit for 0), and ``reads[k]`` an OR of
-    marks of digit-k lanes to its lowest bit plus the valuation of B^k (s
-    for 0): the valuation of digit * B^k is that of the digit plus that of
-    B^k, and an element's is the least over its digits."""
-    s, vals = ring.s, ring._digit_lanes.vals
-    marks = vals[0].translate(_translation([1 << v for v in range(s)]))
-    reads = tuple(
-        bytes((y & -y).bit_length() - 1 + v[1] if y else s for y in range(256))
-        for v in vals
-    )
-    return marks, reads
-
-
-def _lane_sums(images, g, width: int, fold: bytes, size: int) -> bytes:
-    """The sum of the column images images[j][g_j] as ``size`` byte lanes,
-    each congruent modulo B to the sum of its digits.  The lanes are folded
-    modulo B after each chunk of ``width`` columns, before any can pass
-    255 and carry into its neighbour."""
-    total = sum(map(getitem, images[:width], g[:width]))
-    for lo in range(width, len(g), width):
-        residue = total.to_bytes(size, "little").translate(fold)
-        total = sum(
-            map(getitem, images[lo : lo + width], g[lo : lo + width]),
-            int.from_bytes(residue, "little"),
-        )
-    return total.to_bytes(size, "little")
-
-
-def _dot_levels(ctx: EvalContext, rows) -> list[int]:
-    """Each coset's level, for a ring without digit lanes.  Per row g, one
-    ``row_axpy`` per nonzero g_j with column j of the opposite stack gives
-    minus g's pairings with every stack row, of the same valuations."""
-    ring = ctx.ring
-    stack, slices = ctx.opposite_stack
-    height = len(stack)
-    columns = ring.columns(stack)
-    zero = ring.encode_row([ring.zero] * height)
-    levels = [ring.s] * len(slices)
-    for g in rows:
-        pairings = zero
-        for j, a in enumerate(g):
-            if a:
-                column = columns[j * height : (j + 1) * height]
-                pairings = ring.row_axpy(pairings, a, column)
-        vals = ring.row_valuations(pairings)
-        levels = [min(level, *vals[sl]) for level, sl in zip(levels, slices)]
-        if not any(levels):
-            break
-    return levels
 
 
 def irreducible_components(code: LinearCode):

@@ -94,13 +94,13 @@ def test_second_decompose_reuses_the_stack_and_column_images(monkeypatch):
     ctx = EvalContext(ring, 56)
     monkeypatch.setattr(tracecodes, "context", lambda r, ell: ctx)
     built = []
-    image = EvalContext._column_image
+    image = ChainRing._column_image
 
     def counted(self, column, a):
         built.append((column, a))
         return image(self, column, a)
 
-    monkeypatch.setattr(EvalContext, "_column_image", counted)
+    monkeypatch.setattr(ChainRing, "_column_image", counted)
     reps = representatives(ctx.universe)
     partition = make_partition(
         ctx.universe, ring.s, {z: i % (ring.s + 1) for i, z in enumerate(reps)}

@@ -388,6 +388,45 @@ def test_trace_rows_match_the_exponent_orbit(ring, ell):
         assert ctx.coset_codes[rep].sf_rows == reference.sf_rows
 
 
+def product_then_trace(ext, x, ys):
+    """Tr(x*y) for each y, one product in S per y."""
+    return [ext.trace(ext.top._mul(x, y)) for y in ys]
+
+
+@pytest.mark.parametrize(
+    "ring,ell",
+    [(Z9, ell) for ell in (20, 28, 56, 80)]
+    + [(F3U, 20), (F3U, 44), (eu_ring(3, 2, 2), 10)],
+)
+def test_trace_table_matches_product_then_trace(ring, ell):
+    # The context's table reads each Tr(xi^k y) off the m images Tr(xi^k b_j)
+    # over the digit basis of S.
+    ctx = context(ring, ell)
+    ext = ctx.ext
+    assert ctx.traces == [
+        product_then_trace(ext, ext.xi_pow(k), ctx.eta_pows) for k in range(ext.m)
+    ]
+    rnd = random.Random(f"{ring.short_name()}:{ell}")
+    top = ext.top
+    for _ in range(3):
+        x = top.element_at(rnd.randrange(top.size))
+        ys = [top.element_at(rnd.randrange(top.size)) for _ in range(5)]
+        assert ext.trace_products(x, ys) == product_then_trace(ext, x, ys)
+
+
+def test_trace_products_at_degree_one_and_of_foreign_elements():
+    ext = extend(Z9, 1)
+    ys = list(Z9.elements())
+    assert ext.trace_products(Z9.element([2]), ys) == product_then_trace(
+        ext, Z9.element([2]), ys
+    )
+    for m in (1, 2):
+        top = extend(Z9, m).top
+        for x, ys in ((F3U.one, [top.one]), (top.one, [top.one, F3U.one])):
+            with pytest.raises(SpecError):
+                extend(Z9, m).trace_products(x, ys)
+
+
 def test_trace_xi_pow_agrees():
     ext = extend(galois_ring(3, 1, 2), 2)
     for e in range(20):

@@ -1,12 +1,15 @@
 """The byte-lane layouts of the table rings: which rings have which, and
 that a lane takes exactly its headroom of adds before it carries."""
 
+import re
+from pathlib import Path
+
 import pytest
 
+import chaincodes
 from chaincodes import eu_ring, galois_ring
 from chaincodes._ints import is_prime
-from chaincodes.chainring import TABLE_CAP, Lanes
-from chaincodes.tracecodes import _lane_sums
+from chaincodes.chainring import TABLE_CAP, Lanes, _lane_sums
 
 PRIMES = [p for p in range(2, TABLE_CAP + 1) if is_prime(p)]
 
@@ -179,3 +182,21 @@ def test_one_digit_rings_share_their_add_and_digit_lanes():
             assert ring._add_lanes is ring._digit_lanes is not None, ring
         else:
             assert ring._add_lanes is ring._digit_lanes is None, ring
+
+
+# The names of the row encoding: the table flag, the byte translations and
+# their tables, and the lane layouts.
+ENCODING_NAMES = re.compile(
+    r"\b(has_tables|_translation|_\w+_bytes|_pivot_lanes|_add_lanes"
+    r"|_digit_lanes|_lane_layout)\b"
+)
+
+
+def test_only_chainring_names_the_row_encoding():
+    package = Path(chaincodes.__file__).parent
+    named = {
+        path.name: sorted(set(ENCODING_NAMES.findall(path.read_text())))
+        for path in package.glob("*.py")
+    }
+    assert named.pop("chainring.py")
+    assert {name: found for name, found in named.items() if found} == {}

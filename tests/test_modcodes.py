@@ -12,6 +12,7 @@ from chaincodes import (
     LinearCode,
     SpecError,
     closure_code,
+    concatenate,
     constashift,
     eu_ring,
     extend,
@@ -21,6 +22,7 @@ from chaincodes import (
     intersect_codes,
     is_constacyclic,
     membership,
+    preimage_code,
     res_subring_code,
     residue_code,
     sigma_image,
@@ -246,6 +248,30 @@ def test_trace_and_subring_codes_match_the_oracle(data):
         res_subring_code(ext, b), oracle.brute_res_subring(ext, b)
     )
     assert tr.dual().same_code(res_subring_code(ext, b.dual()))
+
+
+F3U = eu_ring(3, 1, 2)  # the ring of no Z9 code
+
+
+def _z9_code():
+    return LinearCode(Z9, 2, [[Z9.one, Z9.zero]])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: (F3U.one, F3U.zero) in _z9_code(),
+        lambda: membership(_z9_code(), (1, 0)),
+        lambda: concatenate((F3U.one, F3U.zero), -Z9.one, 2),
+        lambda: preimage_code(_z9_code(), F3U.element([2, 0]), 2),
+        lambda: Z9.inv(F3U.element([2, 1])),
+        lambda: Z9.theta_valuation(F3U.element([0, 1])),
+    ],
+    ids=["in", "membership", "concatenate", "preimage_code", "inv", "theta_valuation"],
+)
+def test_foreign_elements_raise_spec_error(call):
+    with pytest.raises(SpecError):
+        call()
 
 
 def test_budget_on_enumeration():

@@ -35,7 +35,7 @@ from chaincodes import (
 )
 from chaincodes import oracle
 from chaincodes.cosets import coset, representatives
-from chaincodes.tracecodes import _dot_levels, _lane_sums, _packed_levels
+from chaincodes.chainring import _lane_sums
 from test_golden import BIG_RINGS, TABLE_RINGS
 
 Z9 = galois_ring(3, 1, 2)
@@ -276,8 +276,8 @@ def test_decompose_matches_membership_reference(code):
 # A length per ring of the golden tests' table rings at which the packed
 # decomposition sums its pairings over several chunks of columns where it
 # can (chunk widths: 30 for Z9 and GR(9,2), 35 for Z8, 8 for Z27), plus
-# F_131, whose base 131 > 128 leaves no lane room and takes ``_dot_levels``,
-# and GR(25,2), above the table cap.
+# F_131, whose base 131 > 128 leaves no lane room and takes
+# ``ChainRing._dot_levels``, and GR(25,2), above the table cap.
 PACKED_CASES = [
     (galois_ring(3, 1, 2), 56),
     (galois_ring(3, 1, 2), 80),
@@ -390,7 +390,10 @@ def test_dot_levels_match_packed_levels(case):
     # The fallback of rings without digit lanes against the lane sums, on
     # rings that have both.
     ctx, rows = case
-    assert _dot_levels(ctx, rows) == _packed_levels(ctx, rows)
+    ring, (stack, slices) = ctx.ring, ctx.opposite_stack
+    assert ring._dot_levels(rows, stack, slices) == ring.pairing_levels(
+        rows, stack, slices, ctx.column_images
+    )
 
 
 def element_pairings(ring, g, stack):
